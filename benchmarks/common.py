@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one artifact of the paper (a Table-1 column, a
-figure, a theorem's scaling claim); see DESIGN.md section 3 for the experiment
-index and EXPERIMENTS.md for the recorded results.  The helpers here cache
-built labelings (they are expensive) and provide a uniform way to print the
-result tables that accompany the pytest-benchmark timings.
+figure, a theorem's scaling claim); README.md ("Tests and benchmarks") says
+how to run them.  The helpers here cache built labelings (they are
+expensive) and provide a uniform way to print the result tables that
+accompany the pytest-benchmark timings.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ the paper:
 4. the sparsification hierarchy itself is computed centrally and charged the
    ``Õ(√m · D)`` round budget of Lemma 13 (the distributed NetFind of the
    paper is a segment-parallel emulation of the same centralized code; we
-   account for its rounds analytically, as documented in DESIGN.md).
+   account for its rounds analytically).
 
 The outcome is checked against the centralized construction: the distributed
 ancestry labels and subtree XOR sums must match exactly, which the CONGEST

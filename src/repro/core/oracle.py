@@ -123,7 +123,7 @@ class FTConnectivityOracle:
         """Compare the labeling answers against ground truth for many queries.
 
         Each query is a tuple ``(s, t, faults)``.  Returns counts of agreements
-        and disagreements — the T1-correctness experiment in EXPERIMENTS.md.
+        and disagreements.
         """
         agree = 0
         disagree = 0

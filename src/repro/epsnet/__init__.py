@@ -12,7 +12,8 @@ epsilon-nets for points and axis-aligned rectangles.
   Lemma 12, built on the slab construction of Lemma 11.
 * :mod:`repro.epsnet.greedy_net` — a deterministic greedy hitting-set baseline
   over a canonical family of grid rectangles (used in the hierarchy ablation
-  and standing in for the high-exponent MDG18 construction, see DESIGN.md).
+  and standing in for the high-exponent MDG18 construction; its module
+  docstring says why).
 * :mod:`repro.epsnet.shapes` — the H_{2f} symmetric-difference shapes and the
   reduction from shapes to rectangles.
 """

@@ -5,9 +5,9 @@ plays the role of the Mustafa--Dutta--Ghosh net in Lemma 10/Lemma 4 of the
 paper: the paper only needs *some* deterministic polynomial-time net
 construction with a better-than-trivial size to instantiate the
 "poly(m) construction time" variant of Theorem 1.  The MDG18 algorithm has a
-very high-exponent polynomial running time; as documented in DESIGN.md we
-substitute a classic greedy hitting-set over the canonical rectangle family,
-which is deterministic, polynomial, and achieves the standard
+very high-exponent polynomial running time, so we substitute a classic
+greedy hitting-set over the canonical rectangle family, which is
+deterministic, polynomial, and achieves the standard
 ``O(log N / epsilon)`` size bound via the greedy set-cover guarantee.  The
 hierarchy and labeling machinery built on top is identical, so the
 substitution only affects constants in the label size, which the hierarchy

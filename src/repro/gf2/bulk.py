@@ -271,12 +271,12 @@ class NumpyBulkOps(BulkOps):
         if isinstance(multiplier, int):
             if multiplier == 0:
                 return [0] * len(elements)
-            return [int(x) for x in self._scale_array(a, multiplier)]
+            return self._scale_array(a, multiplier).tolist()
         if len(multiplier) != len(elements):
             raise ValueError("mul_many got %d elements but %d multipliers"
                              % (len(elements), len(multiplier)))
         b = _np.asarray(multiplier, dtype=_np.uint64)
-        return [int(x) for x in self._mul_arrays(a, b)]
+        return self._mul_arrays(a, b).tolist()
 
     def pow_range(self, base: int, count: int) -> list[int]:
         # A single power chain is inherently sequential; the windowed
@@ -291,14 +291,18 @@ class NumpyBulkOps(BulkOps):
             return [[] for _ in bases]
         if len(bases) * count < self.small_cutoff:
             return self._py.pow_range_many(bases, count)
-        base_array = _np.asarray(bases, dtype=_np.uint64)
-        columns = [base_array]
-        current = base_array
-        for _ in range(count - 1):
-            current = self._mul_arrays(current, base_array)
-            columns.append(current)
-        matrix = _np.stack(columns, axis=1)
-        return [[int(x) for x in row] for row in matrix]
+        # Column j holds x^(j+1).  Doubling: once columns [0, m) are filled,
+        # block [m, m+s) is block [0, s) times each row's x^m (column m-1),
+        # so the whole matrix takes ceil(log2 count) broadcast products.
+        matrix = _np.empty((len(bases), count), dtype=_np.uint64)
+        matrix[:, 0] = bases
+        filled = 1
+        while filled < count:
+            step = min(filled, count - filled)
+            matrix[:, filled:filled + step] = self._mul_arrays(
+                matrix[:, :step], matrix[:, filled - 1:filled])
+            filled += step
+        return matrix.tolist()
 
     # --------------------------------------------------------------- xor ops
 
@@ -315,8 +319,8 @@ class NumpyBulkOps(BulkOps):
                                  "target length %d" % (len(row), length))
         stacked = _np.asarray(rows, dtype=_np.uint64)
         combined = _np.bitwise_xor.reduce(stacked, axis=0)
-        for index in range(length):
-            target[index] ^= int(combined[index])
+        for index, value in enumerate(combined.tolist()):
+            target[index] ^= value
         return target
 
     def scatter_xor_rows(self, num_rows: int, row_len: int,
@@ -329,7 +333,7 @@ class NumpyBulkOps(BulkOps):
             index_array = _np.asarray(indices, dtype=_np.intp)
             row_array = _np.asarray(rows, dtype=_np.uint64)
             _np.bitwise_xor.at(matrix, index_array, row_array)
-        return [[int(x) for x in row] for row in matrix]
+        return matrix.tolist()
 
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
@@ -343,7 +347,7 @@ class NumpyBulkOps(BulkOps):
             cols = _np.asarray(col_indices, dtype=_np.intp)
             vals = _np.asarray(values, dtype=_np.uint64)
             _np.bitwise_xor.at(matrix, (rows, cols), vals)
-        return [[int(x) for x in row] for row in matrix]
+        return matrix.tolist()
 
 
 def numpy_available() -> bool:

@@ -134,13 +134,31 @@ class GF2m:
         return result
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse.  Raises ``ZeroDivisionError`` for zero."""
+        """Multiplicative inverse.  Raises ``ZeroDivisionError`` for zero.
+
+        Inputs of ``2^w`` and above are reduced first, so a multiple of the
+        field polynomial is zero too.  Without tables the inverse comes from
+        extended Euclid over GF(2)[x] (Hankerson, Menezes and Vanstone,
+        *Guide to Elliptic Curve Cryptography*, Alg. 2.48): shifts and XORs
+        only, where ``a^(2^w - 2)`` would take about ``2w`` multiplications.
+        """
+        a = a & self._mask if a < self.order else self._reduce(a)
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse in GF(2^w)")
         if self._small_log is not None:
             return self._small_exp[(self.order - 1) - self._small_log[a]]
-        # a^(2^w - 2) == a^{-1}
-        return self._pow_nocache(a, self.order - 2)
+        # Invariants: g1 * a == u and g2 * a == v (mod the field polynomial).
+        # The loop ends because gcd(a, modulus) == 1 for a non-zero a.
+        u, v = a, self.modulus
+        g1, g2 = 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                shift = -shift
+            u ^= v << shift
+            g1 ^= g2 << shift
+        return g1
 
     def div(self, a: int, b: int) -> int:
         """Field division ``a / b``."""

@@ -48,7 +48,7 @@ class EdgeHierarchy:
             previous = current
 
     def describe(self) -> dict:
-        """Summary statistics used by benchmarks and EXPERIMENTS.md."""
+        """Summary statistics reported by the benchmarks."""
         return {
             "depth": self.depth(),
             "level_sizes": self.level_sizes(),

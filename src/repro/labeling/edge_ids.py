@@ -16,7 +16,7 @@ a field GF(2^w).  Two packings are supported:
     Packs only ``(pre_u, pre_v)``.  The query algorithm only ever needs the
     pre-order of an endpoint (to locate its fragment via interval containment),
     so this halves the field width — a constant-factor engineering
-    optimization documented in DESIGN.md.  It is the default.
+    optimization.  It is the default.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every generator returns a *connected* :class:`~repro.graphs.graph.Graph` and is
 fully determined by ``(family, n, seed)`` plus family-specific parameters, so
-every number in EXPERIMENTS.md can be regenerated exactly.
+every benchmark number can be regenerated exactly.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.outdetect.sketch import SketchOutdetect
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
-WIDTHS = [4, 8, 13, 20, 27, 32]
+WIDTHS = [4, 8, 13, 20, 22, 27, 32]
 
 
 def _backends(field):
@@ -56,14 +56,28 @@ def test_pow_range_is_consecutive_powers(width):
         assert backend.pow_range(base, 0) == []
 
 
+#: (bases, powers) shapes: decode verification re-encodes 1-20 supports
+#: against all 2k components (904 at the benchmark's level 0), the label
+#: build encodes every edge; odd and non-power-of-two counts exercise the
+#: last, partial doubling block of the numpy kernel.
+POW_RANGE_SHAPES = [(1, 1), (1, 2), (1, 3), (2, 904), (3, 166), (5, 1000),
+                    (25, 8), (751, 16)]
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_pow_range_many_matches_single(width):
     field = GF2m(width)
     rng = random.Random(width + 2)
-    bases = [rng.randrange(1, field.order) for _ in range(25)]
+    for num_bases, count in POW_RANGE_SHAPES:
+        bases = [rng.randrange(1, field.order) for _ in range(num_bases)]
+        expected = [[field.pow(base, exponent) for exponent in range(1, count + 1)]
+                    for base in bases]
+        for backend in _backends(field):
+            rows = backend.pow_range_many(bases, count)
+            assert rows == expected, (backend.name, num_bases, count)
     for backend in _backends(field):
-        rows = backend.pow_range_many(bases, 8)
-        assert rows == [backend.pow_range(base, 8) for base in bases], backend.name
+        assert backend.pow_range_many(bases, 0) == [[] for _ in bases]
+        assert backend.pow_range_many([], 5) == []
         with pytest.raises(ValueError):
             backend.pow_range_many(bases, -1)
 
@@ -104,14 +118,16 @@ def test_xor_only_backend_has_no_field_ops():
         backend.pow_range(1, 3)
 
 
-def test_auto_selection_falls_back_for_wide_fields():
+def test_auto_selection_falls_back_for_wide_fields(monkeypatch):
+    monkeypatch.delenv("REPRO_GF2_BACKEND", raising=False)
     wide = GF2m(40)
     assert get_bulk_ops(wide).name == "python"
     assert available_backends(wide) == ["python"]
 
 
 @needs_numpy
-def test_auto_selection_prefers_numpy_when_usable():
+def test_auto_selection_prefers_numpy_when_usable(monkeypatch):
+    monkeypatch.delenv("REPRO_GF2_BACKEND", raising=False)
     field = GF2m(16)
     assert get_bulk_ops(field).name == "numpy"
     assert "numpy" in available_backends(field)

@@ -1,5 +1,7 @@
 """Unit and property tests for GF(2^w) arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,30 @@ def test_inverse_small_field_exhaustive(small_field):
 def test_inverse_of_zero_raises(small_field):
     with pytest.raises(ZeroDivisionError):
         small_field.inv(0)
+
+
+@pytest.mark.parametrize("width", [8, 22])
+def test_inverse_reduces_non_canonical_input(width):
+    field = GF2m(width)
+    # The field polynomial itself, and its multiples, are zero in the field.
+    for zero in (field.modulus, field.modulus << 3):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+    for value in (1, 2, field.order - 1):
+        assert field.inv(value ^ field.modulus) == field.inv(value)
+
+
+@pytest.mark.parametrize("width", [13, 22, 32, 64])
+def test_inverse_without_tables_matches_exponentiation(width):
+    field = GF2m(width)
+    rng = random.Random(width)
+    values = [1, 2, field.order - 1] + [rng.randrange(1, field.order) for _ in range(200)]
+    for value in values:
+        inverse = field.inv(value)
+        assert inverse == field._pow_nocache(value, field.order - 2)
+        assert field.mul(value, inverse) == 1
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
 
 
 def test_pow_matches_repeated_multiplication(small_field):
