@@ -423,8 +423,6 @@ LOCK_CONTRACTS: tuple[LockContract, ...] = (
     LockContract("src/repro/server/session_manager.py", "SessionManager",
                  "_swap_lock", frozenset({"oracle", "_epoch", "_leases",
                                           "_retired"})),
-    LockContract("src/repro/pool/oracle.py", "PooledOracle", "_lock",
-                 frozenset({"_queries_answered"})),
     LockContract("src/repro/core/ftc.py", "LabelBackedQueries",
                  "_session_lock",
                  frozenset({"_session_cache", "_session_evictions"}),

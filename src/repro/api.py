@@ -73,7 +73,7 @@ if TYPE_CHECKING:
 Vertex = Hashable
 
 #: The transport tags, in the order the conformance suite exercises them.
-TRANSPORTS = ("build", "snapshot", "pool", "tcp")
+TRANSPORTS = ("build", "snapshot", "tcp")
 
 
 # ------------------------------------------------------------------- stats
@@ -484,18 +484,6 @@ class Oracle:
         return load_snapshot(source)
 
     @staticmethod
-    def pool(path: Any, workers: int | None = None) -> Any:
-        """Serve a snapshot *file* through a process pool (the "pool" transport).
-
-        Each pool worker loads ``path`` independently, so a version-2
-        (mmap layout) artifact is one page-cached copy shared by all of
-        them.  ``workers`` defaults to the machine's CPU count.
-        """
-        from repro.pool import PooledOracle
-
-        return PooledOracle(path, workers=workers)
-
-    @staticmethod
     def build_delta(base: Any, graph: Any = None, *,
                     add_edges: Iterable = (), remove_edges: Iterable = (),
                     use_fast_engine: bool = True,
@@ -536,24 +524,26 @@ class Oracle:
 def parse_oracle_uri(uri: str) -> tuple:
     """Split an oracle URI into ``(kind, rest)``.
 
-    Accepted forms: ``snapshot:PATH``, ``pool:PATH``, ``tcp://HOST:PORT``,
-    ``build:PATH`` (an edge-list file; the empty path means "caller supplies
-    the graph"), and — as a convenience — a bare path ending in ``.ftcs``.
-    ``build:`` URIs additionally accept a query string of construction
-    options (``build:edges.txt?jobs=4``), split off by
-    :func:`parse_build_query`; ``pool:`` URIs accept ``?workers=N``, split
-    off by :func:`parse_pool_query`.
+    Accepted forms: ``snapshot:PATH``, ``tcp://HOST:PORT``, ``build:PATH``
+    (an edge-list file; the empty path means "caller supplies the graph"),
+    and — as a convenience — a bare path ending in ``.ftcs``.  ``build:``
+    URIs additionally accept a query string of construction options
+    (``build:edges.txt?jobs=4``), split off by :func:`parse_build_query`.
+    All-letter text before the first ``:`` reads as a scheme, so an unknown
+    one (``snapshop:net.ftcs``) fails here as a URI error, not later as a
+    missing file; write such a path as ``snapshot:PATH``.
     """
     if not isinstance(uri, str):
         raise TypeError("oracle URI must be a string, got %r" % type(uri).__name__)
     for scheme, kind in (("tcp://", "tcp"), ("snapshot:", "snapshot"),
-                         ("pool:", "pool"), ("build:", "build")):
+                         ("build:", "build")):
         if uri.startswith(scheme):
             return kind, uri[len(scheme):]
-    if uri.endswith(".ftcs"):
+    prefix, colon, _ = uri.partition(":")
+    if uri.endswith(".ftcs") and not (colon and prefix.isalpha()):
         return "snapshot", uri
     raise ValueError("unsupported oracle URI %r (expected snapshot:PATH, "
-                     "pool:PATH, tcp://HOST:PORT, or build:EDGELIST)" % (uri,))
+                     "tcp://HOST:PORT, or build:EDGELIST)" % (uri,))
 
 
 def parse_build_query(rest: str) -> tuple:
@@ -585,33 +575,6 @@ def parse_build_query(rest: str) -> tuple:
     return path, options
 
 
-def parse_pool_query(rest: str) -> tuple:
-    """Split a ``pool:`` URI remainder into ``(path, options)``.
-
-    The query string accepts ``workers=N`` (a positive integer — the process
-    pool size; default lets the pool match the CPU count); anything else is
-    a :class:`ValueError`, so typos fail loudly instead of silently serving
-    from one process.
-    """
-    path, separator, query = rest.partition("?")
-    options: dict = {}
-    if not separator:
-        return path, options
-    for item in query.split("&"):
-        if not item:
-            continue
-        key, equals, value = item.partition("=")
-        if key == "workers" and equals:
-            if not value.isdigit() or int(value) < 1:
-                raise ValueError("pool: oracle URI option workers=%r must be "
-                                 "a positive integer" % value)
-            options["workers"] = int(value)
-        else:
-            raise ValueError("unsupported pool: oracle URI option %r "
-                             "(expected workers=N)" % item)
-    return path, options
-
-
 def open_oracle(uri: str, *, graph: Any = None,
                 config: FTCConfig | None = None,
                 max_faults: int | None = None,
@@ -622,9 +585,6 @@ def open_oracle(uri: str, *, graph: Any = None,
 
     * ``snapshot:network.ftcs`` (or a bare ``*.ftcs`` path) →
       :meth:`Oracle.load`;
-    * ``pool:network.ftcs?workers=4`` → :meth:`Oracle.pool` (a process pool
-      answering queries over the same snapshot file; ``workers`` defaults to
-      the CPU count);
     * ``tcp://127.0.0.1:7421`` → :meth:`Oracle.connect`;
     * ``build:edges.txt`` → read the edge list and :meth:`Oracle.build` with
       the given construction parameters (``build:`` with an empty path uses
@@ -634,10 +594,9 @@ def open_oracle(uri: str, *, graph: Any = None,
       option replaces the same-named keyword, and the combined result goes
       through :func:`~repro.build.executors.resolve_executor`, which raises
       ``ValueError`` on genuine conflicts (e.g. ``?executor=process:2`` with
-      ``jobs=4``).  On ``snapshot:`` / ``pool:`` / ``tcp://`` URIs the
-      ``executor=`` / ``jobs=`` keywords raise ``ValueError`` — construction
-      options must never silently do nothing (a pool's parallelism is its
-      ``workers=`` option, not a build executor).
+      ``jobs=4``).  On ``snapshot:`` / ``tcp://`` URIs the ``executor=`` /
+      ``jobs=`` keywords raise ``ValueError`` — construction options must
+      never silently do nothing.
     """
     kind, rest = parse_oracle_uri(uri)
     if kind != "build" and (executor is not None or jobs is not None):
@@ -658,11 +617,6 @@ def open_oracle(uri: str, *, graph: Any = None,
         if not rest:
             raise ValueError("snapshot: oracle URI needs a path")
         return Oracle.load(rest)
-    if kind == "pool":
-        pool_path, pool_options = parse_pool_query(rest)
-        if not pool_path:
-            raise ValueError("pool: oracle URI needs a snapshot path")
-        return Oracle.pool(pool_path, workers=pool_options.get("workers"))
     path, options = parse_build_query(rest)
     executor = options.get("executor", executor)
     jobs = options.get("jobs", jobs)
@@ -745,6 +699,5 @@ __all__ = [
     "open_oracle",
     "parse_build_query",
     "parse_oracle_uri",
-    "parse_pool_query",
     "upgrade_snapshot",
 ]

@@ -2,10 +2,10 @@
 
 Every subcommand that answers queries programs against the oracle protocol of
 :mod:`repro.api` — it never constructs a transport-specific oracle class,
-rehydrates a snapshot, or opens a socket directly.  Transport selection is one flag: ``--oracle`` takes
-a URI (``build:EDGELIST``, ``snapshot:PATH.ftcs``, ``pool:PATH.ftcs?workers=N``,
-``tcp://HOST:PORT``) and
-the legacy ``--edges`` / ``--snapshot`` flags are sugar for the first two.
+rehydrates a snapshot, or opens a socket directly.  Transport selection is
+one flag: ``--oracle`` takes a URI (``build:EDGELIST``, ``snapshot:PATH.ftcs``,
+``tcp://HOST:PORT``) and the legacy ``--edges`` / ``--snapshot`` flags are
+sugar for the first two.
 Construction likewise goes through the one build facade of
 :mod:`repro.build`: ``--jobs N`` (or a ``build:...?jobs=N`` URI) shards
 label construction across N processes, byte-identical to a serial build;
@@ -421,17 +421,14 @@ def _attach_session_structure(report: dict, answerer, faults: list) -> None:
 
 
 def _cmd_batch_query_remote(args: argparse.Namespace) -> int:
-    """The ``tcp://`` and ``pool:`` transports of ``batch-query``: queries
-    fan out to the server / worker pool, and membership problems come back
-    as structured errors rather than local pre-checks."""
-    kind, _ = parse_oracle_uri(args.oracle)
-    _note_jobs_not_applicable(args, "the server already holds its labels"
-                              if kind == "tcp"
-                              else "the pool serves already-constructed labels")
+    """The ``tcp://`` transport of ``batch-query``: queries go to the server,
+    and membership problems come back as structured errors rather than local
+    pre-checks."""
+    _note_jobs_not_applicable(args, "the server already holds its labels")
     if args.faults_file:
-        print("error: --faults-file needs a local transport (the %s builds "
-              "and caches its own sessions); send one fault set per request"
-              % ("server" if kind == "tcp" else "pool"), file=sys.stderr)
+        print("error: --faults-file needs a local transport (the server builds "
+              "and caches its own sessions); send one fault set per request",
+              file=sys.stderr)
         return 2
     if args.random_pairs:
         print("error: --random-pairs needs a local transport; sample pairs "
@@ -451,20 +448,16 @@ def _cmd_batch_query_remote(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        oracle = open_oracle(args.oracle, timeout=args.timeout) \
-            if kind == "tcp" else open_oracle(args.oracle)
-    except (TransportError, FileNotFoundError, LabelDecodeError,
-            ValueError) as error:
+        oracle = open_oracle(args.oracle, timeout=args.timeout)
+    except (TransportError, ValueError) as error:
         # ValueError: a scheme-valid but malformed URI (e.g. tcp:// without
-        # a port) must be a clean CLI error, not a traceback; the file
-        # errors cover a pool: path that is missing or corrupt.
+        # a port) must be a clean CLI error, not a traceback.
         print("error: %s" % error, file=sys.stderr)
         return 2
     try:
         with oracle:
             answers = oracle.connected_many(pairs, faults)
-            report = _batch_report("server" if kind == "tcp" else "pool",
-                                   faults, pairs, answers)
+            report = _batch_report("server", faults, pairs, answers)
             _attach_session_structure(report, oracle, faults)
     except RemoteOracleError as error:
         if args.json:
@@ -473,11 +466,6 @@ def _cmd_batch_query_remote(args: argparse.Namespace) -> int:
             print("error: server refused the request: %s" % error, file=sys.stderr)
         return 2
     except TransportError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as error:
-        # The pool's workers validate membership and fault budgets; their
-        # exceptions surface here instead of as wire errors.
         print("error: %s" % error, file=sys.stderr)
         return 2
     exit_code = 0
@@ -537,7 +525,7 @@ def cmd_batch_query(args: argparse.Namespace) -> int:
     kind = _fold_oracle_uri(args)
     if kind == "error":
         return 2
-    if kind in ("tcp", "pool"):
+    if kind == "tcp":
         return _cmd_batch_query_remote(args)
     graph = load_edge_list(args.edges) if args.edges else None
     if args.faults_file and args.fault:

@@ -164,20 +164,11 @@ class LabelBackedQueries:
         # Build outside the lock: the decomposition decodes every component
         # and may be slow, and concurrent builds of distinct fault sets must
         # proceed in parallel.  Two threads racing on the same fault set both
-        # build, but the insert below keeps exactly one (callers wanting
+        # build, but the insert keeps exactly one (callers wanting
         # build-once semantics use the single-flight
         # :class:`repro.server.SessionManager`).
-        session = BatchQuerySession(self.outdetect, self.codec, fault_labels)
-        with self._session_lock:
-            existing = self._session_cache.get(key)
-            if existing is not None:
-                self._session_cache.move_to_end(key)
-                return existing
-            self._session_cache[key] = session
-            while len(self._session_cache) > self.SESSION_CACHE_SIZE:
-                self._session_cache.popitem(last=False)
-                self._session_evictions += 1
-        return session
+        return self._insert_session(
+            key, BatchQuerySession(self.outdetect, self.codec, fault_labels))
 
     def build_sessions(self, fault_sets: Sequence[Iterable[Edge]],
                        executor=None, jobs: int | None = None
@@ -221,17 +212,7 @@ class LabelBackedQueries:
             built = self._build_sessions_missing(
                 resolved, [missing_labels[key] for key in missing])
             for key, session in zip(missing, built):
-                with self._session_lock:
-                    existing = self._session_cache.get(key)
-                    if existing is not None:
-                        self._session_cache.move_to_end(key)
-                        session = existing
-                    else:
-                        self._session_cache[key] = session
-                        while len(self._session_cache) > self.SESSION_CACHE_SIZE:
-                            self._session_cache.popitem(last=False)
-                            self._session_evictions += 1
-                sessions[key] = session
+                sessions[key] = self._insert_session(key, session)
         return [sessions[key] for _, key in keyed]
 
     def _build_sessions_missing(self, executor, label_lists: list
@@ -283,6 +264,25 @@ class LabelBackedQueries:
             session = self._session_cache.get(key)
             if session is not None:
                 self._session_cache.move_to_end(key)
+            return session
+
+    def _insert_session(self, key: tuple,
+                        session: BatchQuerySession) -> BatchQuerySession:
+        """Cache a freshly built session; returns the one callers must use.
+
+        Another thread may have inserted ``key`` while this session was
+        built outside the lock: its session wins, so every caller shares one.
+        Otherwise ``session`` is inserted and the LRU evicts past capacity.
+        """
+        with self._session_lock:
+            existing = self._session_cache.get(key)
+            if existing is not None:
+                self._session_cache.move_to_end(key)
+                return existing
+            self._session_cache[key] = session
+            while len(self._session_cache) > self.SESSION_CACHE_SIZE:
+                self._session_cache.popitem(last=False)
+                self._session_evictions += 1
             return session
 
     def session_cache_info(self) -> dict:

@@ -3,16 +3,15 @@
 Every transport of the oracle contract (:mod:`repro.api`) signals failures
 through one tree rooted at :class:`OracleError`, so callers programming
 against the protocol catch one base class regardless of whether the labels
-live in process, came from a snapshot, sit behind a TCP server, or fan out
-to a worker pool:
+live in process, came from a snapshot, or sit behind a TCP server:
 
 * :class:`OracleError` — base of every oracle-level failure.
 * :class:`TransportError` — the transport itself failed (connection refused,
   connection dropped mid-request, garbage on the wire, use after ``close()``).
 * :class:`OracleClosedError` — the specific "use after ``close()``" case.
   Every transport that releases resources on ``close()`` (snapshot-backed,
-  pooled, remote) raises it — or its :class:`TransportError` base — when a
-  query arrives after the oracle was closed.
+  remote) raises it — or its :class:`TransportError` base — when a query
+  arrives after the oracle was closed.
 * :class:`~repro.core.query.QueryFailure` — a query could not be answered
   reliably (randomized sketch labels, heuristic thresholds); subclasses
   :class:`OracleError`.

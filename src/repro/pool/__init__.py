@@ -1,10 +1,7 @@
 """``repro.pool``: the multi-process serving tier over an mmap-backed snapshot.
 
-Three pieces that turn one snapshot artifact into multi-core capacity:
+Two pieces that turn one snapshot artifact into multi-core capacity:
 
-* :class:`~repro.pool.oracle.PooledOracle` — the ``pool:`` transport of the
-  :class:`~repro.api.OracleProtocol`: queries fan out to a process pool whose
-  workers each hold the same (page-cache-shared, when version 2) snapshot.
 * :func:`~repro.pool.frontend.run_pooled_server` — ``repro serve --workers
   N``: a fleet of ordinary query servers sharing one listening port via
   ``SO_REUSEPORT``, each with its own ``/metrics`` sidecar.
@@ -14,7 +11,6 @@ Three pieces that turn one snapshot artifact into multi-core capacity:
 """
 
 from repro.pool.frontend import print_announce, run_pooled_server
-from repro.pool.oracle import PooledBatchSession, PooledOracle
 from repro.pool.prewarm import (
     HOT_KEYS_FORMAT_VERSION,
     HOT_KEYS_SUFFIX,
@@ -24,8 +20,6 @@ from repro.pool.prewarm import (
 )
 
 __all__ = [
-    "PooledOracle",
-    "PooledBatchSession",
     "run_pooled_server",
     "print_announce",
     "hot_keys_path",

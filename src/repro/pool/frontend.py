@@ -175,9 +175,10 @@ def run_pooled_server(snapshot_path: str, host: str = "127.0.0.1",
 
     then serves until SIGTERM/SIGINT and returns a process exit code (0 for
     a clean shutdown, the first non-zero worker exit code otherwise).
-    Workers pre-warm the snapshot's hot-key sidecar file on start and the
-    first worker to exit cleanly refreshes it, so restarts of the fleet —
-    and later single-process serves of the same snapshot — start warm.
+    Workers pre-warm the snapshot's hot-key sidecar file on start and each
+    one that served traffic rewrites it on a clean exit (every save is
+    atomic and the last rename wins), so restarts of the fleet — and later
+    single-process serves of the same snapshot — start warm.
 
     SIGHUP to the parent is relayed to every live worker, so one signal
     hot-swaps the whole fleet onto the rewritten snapshot file with zero

@@ -420,31 +420,6 @@ def test_cli_batch_query_oracle_uri_selects_transport(running_server, snapshot_f
     assert remote["result"]["num_fragments"] == local["result"]["num_fragments"]
 
 
-def test_cli_batch_query_oracle_uri_pool_transport(snapshot_file, capsys):
-    """batch-query --oracle pool:…?workers=N answers like the snapshot
-    transport and reports the pool as its label source."""
-    query = ["--fault", "b-c", "--pair", "a-c", "--pair", "b-d", "--json"]
-    assert main(["batch-query", "--oracle",
-                 "pool:%s?workers=2" % snapshot_file] + query) == 0
-    pooled = json.loads(capsys.readouterr().out)
-    assert main(["batch-query", "--oracle", "snapshot:%s" % snapshot_file]
-                + query) == 0
-    local = json.loads(capsys.readouterr().out)
-    assert pooled["ok"] is True and local["ok"] is True
-    assert pooled["result"]["results"] == local["result"]["results"]
-    assert pooled["result"]["labels"] == "pool"
-    assert pooled["result"]["num_components"] == local["result"]["num_components"]
-    assert pooled["result"]["num_fragments"] == local["result"]["num_fragments"]
-    # Pool-side membership failures exit 2 cleanly, not with a traceback.
-    assert main(["batch-query", "--oracle", "pool:%s?workers=2" % snapshot_file,
-                 "--fault", "a-z", "--pair", "a-c"]) == 2
-    assert "error:" in capsys.readouterr().err
-    # A missing artifact is a CLI error too.
-    assert main(["batch-query", "--oracle", "pool:%s.missing" % snapshot_file,
-                 "--pair", "a-c"]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
 def test_cli_batch_query_oracle_uri_build_and_errors(edge_file, capsys):
     assert main(["batch-query", "--oracle", "build:%s" % edge_file,
                  "--max-faults", "2", "--fault", "b-c", "--pair", "a-c",

@@ -1,11 +1,10 @@
 """Conformance suite for the oracle protocol (:mod:`repro.api`).
 
-One contract, four transports: the same query/fault/stats scenarios run
+One contract, three transports: the same query/fault/stats scenarios run
 against a freshly built oracle ("build"), a snapshot-rehydrated oracle
-("snapshot"), a process-pool oracle over the same snapshot file ("pool"),
-and a remote oracle speaking to a live server ("tcp"), and the answers must
-be **bit-identical** across all four — plus equal to BFS ground truth, since
-the scheme under test is deterministic.
+("snapshot"), and a remote oracle speaking to a live server ("tcp"), and the
+answers must be **bit-identical** across all three — plus equal to BFS
+ground truth, since the scheme under test is deterministic.
 
 Also covered here: the shared error contract (``KeyError`` for unknown ids,
 ``ValueError`` for over-budget fault sets, everything mirrored into the
@@ -33,26 +32,21 @@ from repro.server import BackgroundServer
 from repro.workloads import GraphFamily, make_graph
 
 MAX_FAULTS = 3
-TRANSPORTS = ("build", "snapshot", "pool", "tcp")
+TRANSPORTS = ("build", "snapshot", "tcp")
 
 
 @pytest.fixture(scope="module")
-def world(tmp_path_factory):
-    """One graph served through all four transports (construction is slow)."""
+def world():
+    """One graph served through all three transports (construction is slow)."""
     graph = make_graph(GraphFamily.ERDOS_RENYI, n=28, seed=11)
     built = Oracle.build(graph, max_faults=MAX_FAULTS)
     data = built.to_snapshot_bytes()
-    snapshot_path = tmp_path_factory.mktemp("protocol") / "world.ftcs"
-    snapshot_path.write_bytes(data)
     server = BackgroundServer(Oracle.load(data), max_sessions=8).start()
     remote = Oracle.connect(server.host, server.port)
-    pool = Oracle.pool(snapshot_path, workers=2)
-    oracles = {"build": built, "snapshot": Oracle.load(data), "pool": pool,
-               "tcp": remote}
+    oracles = {"build": built, "snapshot": Oracle.load(data), "tcp": remote}
     try:
         yield graph, oracles, server
     finally:
-        pool.close()
         remote.close()
         server.stop()
 
@@ -269,28 +263,20 @@ def test_parse_oracle_uri():
     assert parse_oracle_uri("tcp://h:1") == ("tcp", "h:1")
     assert parse_oracle_uri("build:edges.txt") == ("build", "edges.txt")
     assert parse_oracle_uri("plain/path.ftcs") == ("snapshot", "plain/path.ftcs")
-    assert parse_oracle_uri("pool:a/b.ftcs") == ("pool", "a/b.ftcs")
-    assert parse_oracle_uri("pool:b.ftcs?workers=4") == \
-        ("pool", "b.ftcs?workers=4")
+    for path in ("a.ftcs", "dir/a.ftcs", "./x:y.ftcs"):
+        assert parse_oracle_uri(path) == ("snapshot", path)
     with pytest.raises(ValueError):
         parse_oracle_uri("ftp://nope")
     with pytest.raises(ValueError):
         parse_oracle_uri("edges.txt")
-
-
-def test_parse_pool_query():
-    from repro.api import parse_pool_query
-
-    assert parse_pool_query("b.ftcs") == ("b.ftcs", {})
-    assert parse_pool_query("b.ftcs?workers=4") == ("b.ftcs", {"workers": 4})
-    with pytest.raises(ValueError):
-        parse_pool_query("b.ftcs?workers=0")
-    with pytest.raises(ValueError):
-        parse_pool_query("b.ftcs?jobs=2")
+    # An unknown scheme is a URI error, not a snapshot file to look for.
+    for uri in ("pool:a.ftcs", "snapshop:a.ftcs"):
+        with pytest.raises(ValueError, match="unsupported oracle URI"):
+            parse_oracle_uri(uri)
 
 
 def test_open_oracle_routes_by_uri(tmp_path, world):
-    graph, oracles, server = world
+    _, oracles, server = world
     snapshot_path = tmp_path / "labeling.ftcs"
     snapshot_path.write_bytes(oracles["build"].to_snapshot_bytes())
     edges_path = tmp_path / "edges.txt"
@@ -308,15 +294,6 @@ def test_open_oracle_routes_by_uri(tmp_path, world):
         assert isinstance(remote, RemoteOracle)
         assert remote.ping()["pong"] is True
 
-    from repro.pool import PooledOracle
-
-    with open_oracle("pool:%s?workers=1" % snapshot_path) as pooled:
-        assert isinstance(pooled, PooledOracle)
-        assert pooled.workers == 1
-        vertices = sorted(graph.vertices())
-        assert pooled.connected_many([(vertices[0], vertices[1])], []) == \
-            oracles["build"].connected_many([(vertices[0], vertices[1])], [])
-
     with pytest.raises(ValueError):
         open_oracle("snapshot:")
     with pytest.raises(ValueError):
@@ -324,10 +301,8 @@ def test_open_oracle_routes_by_uri(tmp_path, world):
     with pytest.raises(ValueError):
         open_oracle("tcp://no-port")
     with pytest.raises(ValueError):
-        open_oracle("pool:")
-    with pytest.raises(ValueError):
-        # Construction options must never silently do nothing on pool URIs.
-        open_oracle("pool:%s" % snapshot_path, jobs=2)
+        # Construction options must never silently do nothing on snapshot URIs.
+        open_oracle("snapshot:%s" % snapshot_path, jobs=2)
 
 
 def test_oracle_is_a_factory_namespace():

@@ -1,23 +1,20 @@
-"""The ``repro.pool`` serving tier: pooled oracle, pre-warm file, front-end.
+"""The ``repro.pool`` serving tier: pre-warm file and ``--workers`` fleet.
 
-The transport conformance itself (bit-identity, error contract, stats shape)
-runs in ``tests/test_oracle_protocol.py``, where ``"pool"`` is one of the
-``TRANSPORTS``.  This file covers what is specific to the tier: the pooled
-oracle's lifecycle and fan-out, the hot-key pre-warm sidecar (atomic save,
-fail-soft load, ranked extraction from the session manager), and the
-SO_REUSEPORT front-end's building blocks.
+Covers the hot-key pre-warm sidecar (atomic and collision-free save,
+fail-soft load, ranked extraction from the session manager) and the
+SO_REUSEPORT front-end, from its building blocks to a served fleet.
 """
 
 import json
 import os
 import socket
+import sys
+import threading
 
 import pytest
 
 from repro.api import Oracle
-from repro.errors import OracleClosedError, TransportError
-from repro.pool import (PooledOracle, hot_keys_path, load_hot_fault_sets,
-                        save_hot_fault_sets)
+from repro.pool import hot_keys_path, load_hot_fault_sets, save_hot_fault_sets
 from repro.pool.frontend import _reserve_port, _worker_metrics_port
 from repro.server.session_manager import SessionManager
 from repro.workloads import GraphFamily, make_graph
@@ -36,81 +33,12 @@ def snapshot_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def world(snapshot_path):
-    graph = make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3, density=1.4)
-    reference = Oracle.load(snapshot_path)
-    pool = Oracle.pool(snapshot_path, workers=2)
+def reference(snapshot_path):
+    oracle = Oracle.load(snapshot_path)
     try:
-        yield graph, reference, pool
+        yield oracle
     finally:
-        pool.close()
-        reference.close()
-
-
-# ------------------------------------------------------------ pooled oracle
-
-
-def test_pool_requires_at_least_one_worker(snapshot_path):
-    with pytest.raises(ValueError):
-        PooledOracle(snapshot_path, workers=0)
-
-
-def test_pool_validates_the_artifact_up_front(tmp_path):
-    with pytest.raises(Exception):
-        PooledOracle(tmp_path / "missing.ftcs", workers=1)
-
-
-def test_pool_answers_match_the_snapshot_transport(world):
-    graph, reference, pool = world
-    edges = sorted(graph.edges())
-    vertices = sorted(graph.vertices())
-    import random
-
-    rng = random.Random(9)
-    for _ in range(6):
-        faults = rng.sample(edges, rng.randint(0, MAX_FAULTS))
-        pairs = [tuple(rng.sample(vertices, 2)) for _ in range(10)]
-        assert pool.connected_many(pairs, faults) == \
-            reference.connected_many(pairs, faults)
-
-
-def test_pool_batch_session_pins_faults_and_reports_structure(world):
-    graph, reference, pool = world
-    faults = sorted(graph.edges())[:MAX_FAULTS]
-    vertices = sorted(graph.vertices())
-    session = pool.batch_session(faults)
-    ref_session = reference.batch_session(faults)
-    assert session.num_components() == ref_session.num_components()
-    assert session.num_fragments() == ref_session.num_fragments()
-    pairs = [(vertices[0], vertices[-1]), (vertices[1], vertices[4])]
-    assert session.connected_many(pairs) == \
-        reference.connected_many(pairs, faults)
-
-
-def test_pool_counts_queries_and_reports_workers(world):
-    _, _, pool = world
-    before = pool.queries_answered
-    graph_vertices = sorted(make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12,
-                                       seed=3, density=1.4).vertices())
-    pool.connected_many([(graph_vertices[0], graph_vertices[1])], [])
-    stats = pool.stats()
-    assert stats.transport == "pool"
-    assert stats.extra["pool"]["workers"] == 2
-    assert pool.queries_answered == before + 1
-
-
-def test_pool_close_is_idempotent_and_post_close_raises(snapshot_path):
-    pool = Oracle.pool(snapshot_path, workers=1)
-    vertices = sorted(make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3,
-                                 density=1.4).vertices())
-    with pool:
-        assert pool.connected(vertices[0], vertices[1], []) in (True, False)
-    pool.close()  # second close must not raise
-    with pytest.raises(OracleClosedError):
-        pool.connected(vertices[0], vertices[1], [])
-    # The post-close error is part of the shared transport hierarchy.
-    with pytest.raises(TransportError):
-        pool.batch_session([])
+        oracle.close()
 
 
 # ------------------------------------------------------------ pre-warm file
@@ -135,6 +63,39 @@ def test_save_hot_fault_sets_is_atomic(tmp_path):
     assert load_hot_fault_sets(path) == [[("a", "b")]]
 
 
+def test_concurrent_saves_of_one_sidecar_do_not_collide(tmp_path):
+    """Every fleet worker saves the sidecar on the same SIGTERM.  No save
+    may fail on a sibling's temp file, and the survivor is one whole write."""
+    path = tmp_path / "net.ftcs.hotkeys.json"
+    writers, saves = 4, 150
+    errors: list = []
+
+    def save_many(writer):
+        try:
+            for index in range(saves):
+                save_hot_fault_sets(path, [[(writer, index)], [(index, writer)]])
+        except Exception as error:  # reported by the assertion below
+            errors.append(error)
+
+    threads = [threading.Thread(target=save_many, args=(writer,))
+               for writer in range(writers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    last = saves - 1
+    assert load_hot_fault_sets(path) in [[[(writer, last)], [(last, writer)]]
+                                         for writer in range(writers)]
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("payload", [
     "not json at all",
     '"a json string"',
@@ -153,8 +114,7 @@ def test_load_hot_fault_sets_missing_file_is_empty(tmp_path):
     assert load_hot_fault_sets(tmp_path / "nope.json") == []
 
 
-def test_session_manager_exposes_ranked_hot_fault_sets(world):
-    _, reference, _ = world
+def test_session_manager_exposes_ranked_hot_fault_sets(reference):
     manager = SessionManager(reference)
     try:
         hot = [("a", "b")]
@@ -170,10 +130,9 @@ def test_session_manager_exposes_ranked_hot_fault_sets(world):
         manager.close()
 
 
-def test_hot_fault_sets_survive_a_json_round_trip(tmp_path, world):
+def test_hot_fault_sets_survive_a_json_round_trip(tmp_path, reference):
     """What the server persists on shutdown is exactly what a restarted
     server can replay through ``prewarm_sessions``."""
-    _, reference, _ = world
     manager = SessionManager(reference)
     try:
         graph = make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3,
@@ -238,7 +197,6 @@ def test_fleet_serves_and_shuts_down_cleanly(snapshot_path, tmp_path):
     dies cleanly on SIGTERM, leaving the hot-key sidecar behind."""
     import signal
     import subprocess
-    import sys
     import time
 
     graph = make_graph(GraphFamily.TREE_PLUS_CHORDS, n=12, seed=3, density=1.4)
