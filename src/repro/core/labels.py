@@ -17,7 +17,7 @@ be stored and shipped out of process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.core import serialize
 from repro.labeling.ancestry import AncestryLabel
@@ -95,14 +95,40 @@ class EdgeLabel:
         scheme variant's label shape (flat k-threshold or sketch vectors,
         per-level tuples for layered schemes) round-trips exactly.
         """
+        out = self._write_prefix()
+        serialize.write_label_tree(self.outdetect_subtree_sum, out)
+        return bytes(out)
+
+    @staticmethod
+    def to_bytes_many(labels: Sequence["EdgeLabel"]) -> list[bytes]:
+        """Bulk twin of :meth:`to_bytes`: ``[x.to_bytes() for x in labels]``.
+
+        The outdetect trees of all labels are encoded together by
+        :func:`~repro.core.serialize.encode_label_trees`; the header and the
+        varints ahead of each tree stay per label.  When the bulk encoder
+        declines the trees, every label goes through :meth:`to_bytes`, the
+        reference, which also raises its errors.
+        """
+        trees = serialize.encode_label_trees(
+            [label.outdetect_subtree_sum for label in labels])
+        if trees is None:
+            return [label.to_bytes() for label in labels]
+        blobs = []
+        for label, tree in zip(labels, trees):
+            out = label._write_prefix()
+            out += tree
+            blobs.append(bytes(out))
+        return blobs
+
+    def _write_prefix(self) -> bytearray:
+        """The header and the five varints that precede the outdetect tree."""
         out = serialize.write_header(serialize.KIND_EDGE)
         serialize.write_varint(self.ancestry_upper.pre, out)
         serialize.write_varint(self.ancestry_upper.post, out)
         serialize.write_varint(self.ancestry_lower.pre, out)
         serialize.write_varint(self.ancestry_lower.post, out)
         serialize.write_varint(self.outdetect_bits, out)
-        serialize.write_label_tree(self.outdetect_subtree_sum, out)
-        return bytes(out)
+        return out
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EdgeLabel":

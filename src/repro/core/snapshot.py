@@ -88,6 +88,8 @@ across versions by construction.
 from __future__ import annotations
 
 import mmap
+import os
+import secrets
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Sequence
@@ -186,6 +188,44 @@ def _label_blob(label) -> bytes:
     if isinstance(label, memoryview):
         return bytes(label)
     return label.to_bytes()
+
+
+def _edge_label_blobs(labels: Iterable) -> list:
+    """The serialized bytes of every edge-label map value, in order.
+
+    Label objects are encoded together by :meth:`EdgeLabel.to_bytes_many`;
+    raw blobs of a lazily loaded snapshot pass through verbatim.
+    """
+    labels = list(labels)
+    encoded = iter(EdgeLabel.to_bytes_many(
+        [label for label in labels if not isinstance(label, (bytes, memoryview))]))
+    return [_label_blob(label) if isinstance(label, (bytes, memoryview))
+            else next(encoded) for label in labels]
+
+
+def write_file_atomically(path: "str | os.PathLike[str]", data: bytes) -> None:
+    """Replace ``path`` with ``data`` by renaming a finished file over it.
+
+    The data goes to a uniquely named file beside ``path``, which
+    ``os.replace`` then moves over it, so the old inode is never rewritten:
+    a process that mapped a v2 snapshot at ``path`` keeps reading the old
+    bytes (truncating them in place would fault it with ``SIGBUS``).  The
+    new file gets the mode ``Path.write_bytes`` gives (``0o666`` less the
+    umask); on any failure it is removed.
+    """
+    path = Path(path)
+    # Unguessable, so no other writer holds the name and nobody can plant a
+    # link there first; O_EXCL below refuses an existing entry either way.
+    token = secrets.token_hex(8)  # repro: allow[RPL006] names the temp file, not snapshot bytes
+    temporary = path.with_name(".%s.%s.tmp" % (path.name, token))
+    descriptor = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "wb") as handle:
+            handle.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _region_slice(region, relative: int, length: int, region_length: int,
@@ -417,10 +457,10 @@ class FTCSnapshot:
             write_varint(len(blob), out)
             out += blob
         write_varint(len(self.edge_labels), out)
-        for (u, v), label in self.edge_labels.items():
+        for (u, v), blob in zip(self.edge_labels,
+                                _edge_label_blobs(self.edge_labels.values())):
             write_vertex_key(u, out)
             write_vertex_key(v, out)
-            blob = _label_blob(label)
             write_varint(len(blob), out)
             out += blob
         return bytes(out)
@@ -445,8 +485,8 @@ class FTCSnapshot:
             write_varint(len(blob), body)
             region += blob
         write_varint(len(self.edge_labels), body)
-        for (u, v), label in self.edge_labels.items():
-            blob = _label_blob(label)
+        for (u, v), blob in zip(self.edge_labels,
+                                _edge_label_blobs(self.edge_labels.values())):
             write_vertex_key(u, body)
             write_vertex_key(v, body)
             write_varint(len(region), body)
@@ -692,7 +732,7 @@ class FTCSnapshot:
             data = self.to_bytes_v2()
         else:
             raise ValueError("unknown snapshot format version %d" % version)
-        Path(path).write_bytes(data)
+        write_file_atomically(path, data)
         return len(data)
 
     @classmethod
@@ -976,7 +1016,7 @@ def upgrade_snapshot_file(source, destination) -> dict:
     snapshot = FTCSnapshot.from_bytes(Path(source).read_bytes(),
                                       decode_labels=False)
     data = snapshot.to_bytes_v2()
-    Path(destination).write_bytes(data)
+    write_file_atomically(destination, data)
     return {
         "source": str(source),
         "destination": str(destination),
@@ -1000,4 +1040,5 @@ __all__ = [
     "build_decode_outdetect",
     "load_snapshot",
     "upgrade_snapshot_file",
+    "write_file_atomically",
 ]

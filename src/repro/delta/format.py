@@ -47,7 +47,8 @@ from typing import Any
 from repro.core.serialize import LabelDecodeError, read_varint, write_varint
 from repro.core.snapshot import (SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2,
                                  FTCSnapshot, _label_blob, _read_exact,
-                                 read_vertex_key, write_vertex_key)
+                                 read_vertex_key, write_file_atomically,
+                                 write_vertex_key)
 from repro.errors import DeltaError
 from repro.graphs.graph import _vertex_key, canonical_edge
 
@@ -444,7 +445,7 @@ def apply_delta_file(base: Any, delta: Any, destination: Any) -> dict:
     base_bytes = Path(base).read_bytes()
     delta_bytes = Path(delta).read_bytes()
     data = apply_delta(base_bytes, delta_bytes)
-    Path(destination).write_bytes(data)
+    write_file_atomically(destination, data)
     return {
         "base": str(base),
         "delta": str(delta),

@@ -9,20 +9,22 @@ serve) pre-warms those sessions before the first client connects.
 
 The file is advisory state, never a source of truth: loading is fail-soft
 (missing, unreadable, or malformed files yield an empty list and cold-start
-behavior), and writing is atomic (a private temp file + rename), so a crash
-mid-write leaves the previous generation intact, and concurrent writers —
-every fleet worker saves on the same SIGTERM — never collide: the last
-rename wins.  Vertex ids round-trip through JSON, which covers everything
-the wire protocol serves (ints and strings).
+behavior), and writing is atomic (a uniquely named temp file + rename, as
+for the snapshot itself), so a crash mid-write leaves the previous
+generation intact, and concurrent writers — every fleet worker saves on the
+same SIGTERM — never collide: the last rename wins.  Vertex ids round-trip
+through JSON, which covers everything the wire protocol serves (ints and
+strings).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Sequence
+
+from repro.core.snapshot import write_file_atomically
 
 #: Appended to the snapshot path to name its pre-warm sidecar file.
 HOT_KEYS_SUFFIX = ".hotkeys.json"
@@ -47,18 +49,7 @@ def save_hot_fault_sets(path: "str | os.PathLike[str]",
     encoded = [[[edge[0], edge[1]] for edge in fault_set]
                for fault_set in fault_sets]
     payload = {"version": HOT_KEYS_FORMAT_VERSION, "fault_sets": encoded}
-    target = Path(path)
-    # One temp file per call: a shared name would let one writer's rename
-    # move a sibling's half-written file, or find its own already gone.
-    descriptor, temporary = tempfile.mkstemp(
-        prefix=target.name + ".", suffix=".tmp", dir=target.parent)
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write(json.dumps(payload, sort_keys=True))
-        os.replace(temporary, target)
-    except BaseException:
-        os.unlink(temporary)
-        raise
+    write_file_atomically(path, json.dumps(payload, sort_keys=True).encode())
     return len(encoded)
 
 

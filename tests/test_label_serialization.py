@@ -1,14 +1,21 @@
 """Round-trip property tests for the label byte codecs."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import serialize
 from repro.core.labels import EdgeLabel, VertexLabel
-from repro.core import FTCConfig, FTCLabeling, SchemeVariant
+from repro.core import FTCConfig, FTCLabeling, FTCSnapshot, SchemeVariant
 from repro.labeling.ancestry import AncestryLabel
 from repro.workloads import GraphFamily, make_graph
+
+try:
+    import numpy
+except ImportError:  # the bulk writer falls back to the scalar one
+    numpy = None
 
 # ---------------------------------------------------------------- primitives
 
@@ -106,6 +113,114 @@ def test_deserialized_labels_answer_queries():
         target = VertexLabel.from_bytes(labeling.vertex_label(t).to_bytes())
         assert decoder.connected(source, target, fault_labels) == \
             graph.connected(s, t, removed=faults)
+
+
+# ------------------------------------------------------- bulk edge-label writer
+#
+# EdgeLabel.to_bytes_many encodes the outdetect trees of many labels in one
+# numpy pass; to_bytes stays the reference, and also the fallback when numpy
+# is not importable or a leaf lies outside [0, 2**64).
+
+
+@pytest.fixture(params=["numpy", "numpy-blocked"])
+def numpy_state(request, monkeypatch):
+    """Run a test as is, then again with ``import numpy`` failing."""
+    if request.param == "numpy-blocked":
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    return request.param
+
+
+def _edge_label(tree, bits=0):
+    return EdgeLabel(ancestry_upper=AncestryLabel(pre=0, post=9),
+                     ancestry_lower=AncestryLabel(pre=1, post=8),
+                     outdetect_subtree_sum=tree, outdetect_bits=bits)
+
+
+def _leaves(tree):
+    if isinstance(tree, int):
+        return [tree]
+    return [leaf for child in tree for leaf in _leaves(child)]
+
+
+def _assert_bulk_matches_scalar(labels):
+    assert EdgeLabel.to_bytes_many(labels) == [label.to_bytes() for label in labels]
+
+
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_to_bytes_many_matches_to_bytes_for_every_variant(variant, numpy_state):
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
+    labeling = FTCLabeling(graph, FTCConfig(max_faults=2, variant=variant))
+    labels = list(labeling.all_edge_labels().values())
+    _assert_bulk_matches_scalar(labels)
+    bulk = serialize.encode_label_trees(
+        [label.outdetect_subtree_sum for label in labels])
+    assert (bulk is None) == (numpy is None or numpy_state == "numpy-blocked")
+
+
+@pytest.mark.parametrize("trees", [
+    [],
+    [0, 1, 127, 128, (), ((),)],                      # root ints, empty tuples
+    [(0,), (0, 1, 127), (128, 16383, 16384)],         # one- and two-byte leaves
+    [((), (1, 2), ()), ((5,), (), (6, 7, 8))],         # empty levels
+    [(1, (2, 3), 4, ((5,), 6))],                      # ints beside tuples
+    [(2**63 - 1, 2**63, 2**64 - 1), (1,)],            # widest uint64 leaves
+    [(3, 4), (2**64, 5)],                             # 2**64: scalar fallback
+    [((1,), (2**200,))],
+], ids=["empty", "roots", "small", "empty-levels", "mixed", "uint64",
+        "fallback", "fallback-nested"])
+def test_to_bytes_many_matches_to_bytes_on_edge_cases(trees, numpy_state):
+    _assert_bulk_matches_scalar([_edge_label(tree, bits=index)
+                                 for index, tree in enumerate(trees)])
+
+
+@pytest.mark.parametrize("bad", [(1, -1), -1, ((2,), (-3, 4))])
+def test_to_bytes_many_raises_the_scalar_error_on_a_negative_leaf(bad, numpy_state):
+    labels = [_edge_label((1, 2, 3)), _edge_label(bad)]
+    with pytest.raises(ValueError) as scalar:
+        [label.to_bytes() for label in labels]
+    with pytest.raises(ValueError) as bulk:
+        EdgeLabel.to_bytes_many(labels)
+    assert str(bulk.value) == str(scalar.value)
+
+
+def test_to_bytes_many_raises_the_scalar_error_on_a_foreign_leaf(numpy_state):
+    labels = [_edge_label((1, 2)), _edge_label((1, 2.5))]
+    with pytest.raises(TypeError, match="only ints and tuples"):
+        EdgeLabel.to_bytes_many(labels)
+
+
+@given(st.lists(label_trees, max_size=6))
+@settings(max_examples=150)
+def test_bulk_tree_encoding_matches_write_label_tree(trees):
+    expected = []
+    for tree in trees:
+        out = bytearray()
+        serialize.write_label_tree(tree, out)
+        expected.append(bytes(out))
+    encoded = serialize.encode_label_trees(trees)
+    if numpy is None or any(leaf >= 1 << 64 for tree in trees for leaf in _leaves(tree)):
+        assert encoded is None
+    else:
+        assert encoded == expected
+    _assert_bulk_matches_scalar([_edge_label(tree) for tree in trees])
+
+
+def test_snapshot_writer_mixes_label_objects_with_lazy_blobs(numpy_state):
+    """Decoded labels, lazy ``bytes`` blobs and mmap-style ``memoryview``
+    blobs in one snapshot re-serialize to the original bytes."""
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
+    data = FTCLabeling(graph, FTCConfig(max_faults=2)).to_snapshot_bytes()
+    decoded = FTCSnapshot.from_bytes(data)
+    mixed = FTCSnapshot.from_bytes(data, decode_labels=False)
+    for index, (edge, blob) in enumerate(mixed.edge_labels.items()):
+        if index % 3 == 0:
+            mixed.edge_labels[edge] = decoded.edge_labels[edge]
+        elif index % 3 == 1:
+            mixed.edge_labels[edge] = memoryview(blob)
+    kinds = {type(label) for label in mixed.edge_labels.values()}
+    assert kinds == {EdgeLabel, bytes, memoryview}
+    assert mixed.to_bytes() == data
+    assert mixed.to_bytes_v2() == decoded.to_bytes_v2()
 
 
 # ---------------------------------------------------------------- error paths

@@ -10,7 +10,13 @@ The contract under test (ISSUE 2 / ROADMAP "persist whole labelings"):
   allocations.
 """
 
+import hashlib
+import os
 import random
+import stat
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -19,8 +25,10 @@ from repro.core import (FTCConfig, FTCLabeling, FTCSnapshot, FTConnectivityOracl
                         RehydratedOracle, SchemeVariant, load_snapshot)
 from repro.core.serialize import LabelDecodeError
 from repro.core.snapshot import (OutdetectDescriptor, SNAPSHOT_MAGIC,
-                                 build_decode_outdetect, read_svarint,
-                                 read_vertex_key, write_svarint, write_vertex_key)
+                                 SNAPSHOT_VERSION_V2, build_decode_outdetect,
+                                 read_svarint, read_vertex_key,
+                                 upgrade_snapshot_file, write_svarint,
+                                 write_vertex_key)
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
 from repro.outdetect.sketch import SketchOutdetect
 from repro.workloads import FaultModel, GraphFamily, make_graph, make_query_workload
@@ -118,6 +126,38 @@ def test_snapshot_dataclass_round_trip():
     # A lazily parsed snapshot re-serializes to the identical bytes.
     lazy = FTCSnapshot.from_bytes(snapshot.to_bytes(), decode_labels=False)
     assert lazy.to_bytes() == snapshot.to_bytes()
+
+
+#: sha256 of the v1 and v2 snapshot bytes of ER n=48, seed 7, f=3, per
+#: variant, as the per-label scalar writer produced them.  They hold on every
+#: GF backend and with numpy absent.
+GOLDEN_SNAPSHOT_SHA256 = {
+    SchemeVariant.DETERMINISTIC_NEARLINEAR: (
+        "e5f42787c82e46d2d66f7b95b0fb9b83d313bdbe06858ad4658bcc5ff27b56b8",
+        "f387029ef51f9b13426b6a814a9d41452f1522a66f355ff1c06ac0e2bca1c111"),
+    SchemeVariant.DETERMINISTIC_POLY: (
+        "f694290e9027a525d47ed73ea9141cca2b6d8a4ba5bf2b33c41a7bd919c90a89",
+        "f4e30ff5d7b00549aa8f92e2d5b030928bd50bab565a2c285afd605b28da036e"),
+    SchemeVariant.RANDOMIZED_FULL: (
+        "ef49686384af2b5296878bd977a93f6f8ec62c24f7dc0188b5edbcd2e09271ab",
+        "6c8b0ec7d0b8da8532977bf7057449e3fb08576f2cf33cc91fac6687ef425447"),
+    SchemeVariant.SKETCH_WHP: (
+        "6e9b74bb78f910d16a89e364e26a220ea42b5160e4b267c393993c68191ba080",
+        "a1f7f2534837319b6e104d9683e199b460a1f7cfe55bc9d4a4116dcaf1e513ef"),
+    SchemeVariant.SKETCH_FULL: (
+        "bebd9b534e0404e7e76d1af6fdf3180fa7a0b1931b3277797801d35bdabce612",
+        "d5b39e7b52c983af459d91e17c420501938888fb76276d12ce2327e6e2a97611"),
+}
+
+
+@pytest.mark.parametrize("variant", list(SchemeVariant))
+def test_snapshot_bytes_match_golden_digests(variant):
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=48, seed=7)
+    snapshot = FTCSnapshot.from_labeling(
+        FTCLabeling(graph, FTCConfig(max_faults=3, variant=variant)))
+    digests = (hashlib.sha256(snapshot.to_bytes()).hexdigest(),
+               hashlib.sha256(snapshot.to_bytes_v2()).hexdigest())
+    assert digests == GOLDEN_SNAPSHOT_SHA256[variant]
 
 
 def test_snapshot_bytes_are_canonical():
@@ -535,3 +575,82 @@ def test_save_dispatches_on_version(tmp_path, snapshot_bytes):
     assert v2_path.read_bytes()[4] == SNAPSHOT_VERSION_V2
     with pytest.raises(ValueError):
         snapshot.save(tmp_path / "v9.ftcs", version=9)
+
+
+# ------------------------------------------------------------ atomic writes
+
+
+def test_save_replaces_the_file_without_rewriting_it(tmp_path, monkeypatch,
+                                                     snapshot_bytes):
+    """A save lands as a new inode renamed over the old one, with the mode
+    ``Path.write_bytes`` gives; a failed save leaves the old file and no
+    temp file behind."""
+    snapshot = FTCSnapshot.from_bytes(snapshot_bytes, decode_labels=False)
+    reference = tmp_path / "reference"
+    reference.write_bytes(b"")
+    path = tmp_path / "labeling.ftcs"
+    path.write_bytes(b"old")
+    old_inode = path.stat().st_ino
+    assert snapshot.save(path) == len(snapshot_bytes)
+    assert path.read_bytes() == snapshot_bytes
+    assert path.stat().st_ino != old_inode
+    assert stat.S_IMODE(path.stat().st_mode) == \
+        stat.S_IMODE(reference.stat().st_mode)
+
+    def fail(source, destination):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        snapshot.save(path, version=SNAPSHOT_VERSION_V2)
+    with pytest.raises(OSError, match="rename refused"):
+        upgrade_snapshot_file(path, path)
+    assert path.read_bytes() == snapshot_bytes
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+        ["labeling.ftcs", "reference"]
+
+
+@pytest.mark.parametrize("writer", ["save", "upgrade", "apply"])
+def test_rewriting_a_mapped_v2_snapshot_leaves_its_reader_answering(tmp_path, writer):
+    """An oracle serving an mmap'd v2 file keeps answering after a smaller
+    snapshot is written to the same path.  Truncating the mapped inode in
+    place killed the process with SIGBUS on its next label read."""
+    script = textwrap.dedent("""
+        import sys
+        from repro.core import FTCConfig, FTCLabeling, FTCSnapshot, load_snapshot
+        from repro.core.snapshot import SNAPSHOT_VERSION_V2, upgrade_snapshot_file
+        from repro.delta import apply_delta_file, diff_snapshots
+        from repro.workloads import GraphFamily, make_graph
+
+        path, writer = sys.argv[1], sys.argv[2]
+        graph = make_graph(GraphFamily.ERDOS_RENYI, n=40, seed=3)
+        labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
+        FTCSnapshot.from_labeling(labeling).save(path, version=SNAPSHOT_VERSION_V2)
+        served = load_snapshot(path)
+        smaller = FTCLabeling(make_graph(GraphFamily.GRID, n=4, seed=1),
+                              FTCConfig(max_faults=1))
+        if writer == "save":
+            smaller.save(path)
+        elif writer == "upgrade":
+            smaller.save(path + ".v1")
+            upgrade_snapshot_file(path + ".v1", path)
+        else:
+            with open(path, "rb") as served_file, open(path + ".d", "wb") as delta:
+                delta.write(diff_snapshots(
+                    served_file.read(),
+                    FTCSnapshot.from_labeling(smaller).to_bytes_v2()))
+            apply_delta_file(path, path + ".d", path)
+        faults = sorted(graph.edges())[-2:]
+        vertices = sorted(graph.vertices())
+        pairs = [(u, v) for u in vertices[:3] for v in vertices]
+        print(served.connected_many(pairs, faults)
+              == labeling.connected_many(pairs, faults))
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "served.ftcs"), writer],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    assert result.stdout.strip() == "True"
