@@ -8,8 +8,10 @@ the outdetect layer can be written once and executed by interchangeable
 backends:
 
 ``PyBulkOps``
-    Pure Python, table-driven (reuses :class:`~repro.gf2.field.FixedMultiplier`
-    windows and the field's log/exp tables when present).  Always available.
+    Pure Python, table-driven.  A power chain multiplies by its base through
+    pre-reduced lookup tables (Shoup's tables, as in McGrew and Viega, "The
+    Galois/Counter Mode of Operation", 2005), so each further power is four
+    lookups and XORs.  Always available.
 
 ``NumpyBulkOps``
     Bit-sliced numpy implementation: carry-less products are assembled by
@@ -23,20 +25,30 @@ Both backends compute the *exact same* field arithmetic, so their outputs are
 bit-identical — the cross-check tests and ``bench_batch_queries.py`` assert
 this.  Backend selection can be forced with the ``REPRO_GF2_BACKEND``
 environment variable (``auto`` / ``python`` / ``numpy``).
+
+numpy is imported on the first call that reaches an array kernel, not with
+this module: whether it is installed is learnt from
+:func:`importlib.util.find_spec`.  ``NumpyBulkOps`` sends calls with fewer
+than :data:`SMALL_ROWS` rows to the Python kernels.  A decode verification
+re-encodes a few support elements times 2k powers and mostly stays below
+that (162 of the 164 on the serving benchmark's 42 fault sets), so a query
+server loads numpy only if a session needs a wide verification, and the
+label build, every edge times 2k, keeps the arrays.  The crossover was
+measured on a 2-vCPU host for a verification (``pow_range_many`` plus
+``scatter_xor_rows``) at GF(2^22): at 904 powers Python took 4.5 ms at 12
+rows against 4.9 ms for numpy and 6.0 ms at 16 against 3.7 ms; at 16-166
+powers the two met between 32 and 48 rows.  The cutoff takes the widest
+level's crossover.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.gf2.field import GF2m
-
-try:  # numpy is an optional accelerator, never a hard dependency.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent CI job
-    _np = None
 
 #: Environment variable that forces a backend (``auto``, ``python``, ``numpy``).
 BACKEND_ENV_VAR = "REPRO_GF2_BACKEND"
@@ -44,6 +56,57 @@ BACKEND_ENV_VAR = "REPRO_GF2_BACKEND"
 #: Widest field the uint64 bit-sliced kernels support (products have degree
 #: ``< 2w``, so ``2w - 1 <= 63``).
 NUMPY_MAX_WIDTH = 32
+
+#: Default ``small_cutoff`` of :class:`NumpyBulkOps`: the fewest rows from
+#: which the row-shaped array kernels beat the Python ones (see above).
+SMALL_ROWS = 16
+
+#: Element-wise ops (``mul_many``, ``scatter_xor``) count this many elements
+#: as one row, which puts their default crossover at 256 elements.
+LANES_PER_ROW = 16
+
+#: numpy, once an array kernel has imported it (``None`` before that).
+_np: Any = None
+
+#: Set when importing numpy failed, so that it is not tried again.
+_np_failed = False
+
+
+def _numpy() -> Any:
+    """numpy, imported on first use; ``None`` when it cannot be imported."""
+    global _np, _np_failed
+    if _np is None and not _np_failed:
+        try:
+            import numpy
+        except ImportError:
+            _np_failed = True
+        else:
+            _np = numpy
+    return _np
+
+
+def _product_tables(field: GF2m, value: int, bits: int) -> list[list[int]]:
+    """Shoup's tables for multiplying by ``value``, ``bits`` bits per window.
+
+    Entry ``j`` of table ``i`` is ``value * (j << i*bits)`` reduced modulo the
+    field polynomial, so ``value * y`` is the XOR of one entry per window of
+    ``y``.  Each table doubles in length once per bit of its window, XOR-ing
+    the next doubling ``value * 2^b`` into a copy of the entries so far.
+    """
+    width = field.width
+    top = field.order
+    modulus = field.modulus
+    tables = []
+    doubling = value
+    for low in range(0, width, bits):
+        table = [0]
+        for _ in range(min(bits, width - low)):
+            table += [entry ^ doubling for entry in table]
+            doubling <<= 1
+            if doubling & top:
+                doubling ^= modulus
+        tables.append(table)
+    return tables
 
 
 class BackendUnavailable(RuntimeError):
@@ -117,39 +180,26 @@ class BulkOps(ABC):
 class PyBulkOps(BulkOps):
     """Pure-Python, table-driven reference backend (always available).
 
-    Windowed multiplier tables are memoized per base element: one session
-    decode re-encodes the same small supports (edge identifiers) many times
-    during verification, and the decode hot path multiplies by the same
-    syndrome elements across Berlekamp--Massey steps, so rebuilding the
-    16-entry window on every call was pure waste.  The memo is bounded
-    (:attr:`MULTIPLIER_CACHE_SIZE`) and affects timing only — the window
-    contents are a pure function of the base element.
+    A power chain ``x, x^2, ..., x^count`` multiplies by the same ``x`` at
+    every step, so :meth:`pow_range` first builds Shoup's tables for ``x``:
+    the operand is cut into four windows of ``ceil(w/4)`` bits (above
+    ``w = 32``, ``ceil(w/8)`` windows of at most 8 bits), and entry ``j`` of
+    table ``i`` is ``x * (j << i*bits)`` already reduced modulo the field
+    polynomial.  Each further power is then one lookup per window and XORs,
+    with no reduction loop.  Four windows keep the tables at 256 entries in
+    all up to ``w = 24``, so even a 16-power chain (the benchmark graph's
+    smallest level) costs less than with the 16-entry windows of
+    :class:`~repro.gf2.field.FixedMultiplier`.
     """
 
     name = "python"
-
-    #: Bound on the per-instance window-table memo (tables are ~16 ints each).
-    MULTIPLIER_CACHE_SIZE = 1024
-
-    def __init__(self, field: GF2m | None = None):
-        super().__init__(field)
-        self._multiplier_cache: dict[int, object] = {}
-
-    def _multiplier(self, base: int):
-        """The (memoized) windowed multiplier for one base element."""
-        window = self._multiplier_cache.get(base)
-        if window is None:
-            if len(self._multiplier_cache) >= self.MULTIPLIER_CACHE_SIZE:
-                self._multiplier_cache.clear()
-            window = self._multiplier_cache[base] = self.field.multiplier(base)
-        return window
 
     def mul_many(self, elements: Sequence[int], multiplier) -> list[int]:
         field = self._require_field()
         if isinstance(multiplier, int):
             if not elements:
                 return []
-            window = self._multiplier(multiplier)
+            window = field.multiplier(multiplier)
             return [window.mul(element) for element in elements]
         if len(multiplier) != len(elements):
             raise ValueError("mul_many got %d elements but %d multipliers"
@@ -157,17 +207,36 @@ class PyBulkOps(BulkOps):
         return [field.mul(a, b) for a, b in zip(elements, multiplier)]
 
     def pow_range(self, base: int, count: int) -> list[int]:
-        self._require_field()
+        field = self._require_field()
         if count < 0:
             raise ValueError("count must be non-negative, got %d" % count)
         if count == 0:
             return []
-        window = self._multiplier(base)
+        base = field.element(base)
+        width = field.width
+        windows = max(4, -(-width // 8))
+        bits = -(-width // windows)
+        tables = _product_tables(field, base, bits)
+        mask = (1 << bits) - 1
         powers = [base]
+        append = powers.append
         current = base
+        if len(tables) <= 4:
+            # A table past the field's width is [0]: its window is always 0.
+            t0, t1, t2, t3 = tables + [[0]] * (4 - len(tables))
+            shift2, shift3 = 2 * bits, 3 * bits
+            for _ in range(count - 1):
+                current = (t0[current & mask] ^ t1[current >> bits & mask]
+                           ^ t2[current >> shift2 & mask] ^ t3[current >> shift3])
+                append(current)
+            return powers
+        lanes = [(table, index * bits) for index, table in enumerate(tables)]
         for _ in range(count - 1):
-            current = window.mul(current)
-            powers.append(current)
+            product = 0
+            for table, shift in lanes:
+                product ^= table[current >> shift & mask]
+            current = product
+            append(current)
         return powers
 
     def pow_range_many(self, bases: Sequence[int], count: int) -> list[list[int]]:
@@ -205,16 +274,21 @@ class PyBulkOps(BulkOps):
 class NumpyBulkOps(BulkOps):
     """Bit-sliced numpy backend (uint64 lanes, bit-identical to PyBulkOps).
 
-    Inputs below ``small_cutoff`` total elements are delegated to the
-    pure-Python path: array round-trips cost more than they save on tiny
-    instances, and both paths compute the exact same field arithmetic.
+    Calls with fewer than ``small_cutoff`` rows go to the pure-Python kernels:
+    array round-trips cost more than they save on small inputs, and both paths
+    compute the exact same field arithmetic.  ``pow_range_many``,
+    ``scatter_xor_rows`` and ``xor_accumulate`` count their rows; the
+    element-wise ``mul_many`` and ``scatter_xor`` count :data:`LANES_PER_ROW`
+    elements as a row.  ``small_cutoff=0`` forces the array kernels.  numpy
+    itself is imported when the first call reaches one, and should that
+    import fail, the call runs on the Python kernels instead.
     """
 
     name = "numpy"
 
     def __init__(self, field: GF2m | None = None, max_bits: int | None = None,
-                 small_cutoff: int = 256):
-        if _np is None:
+                 small_cutoff: int = SMALL_ROWS):
+        if not numpy_available():
             raise BackendUnavailable("numpy is not installed")
         if field is not None and field.width > NUMPY_MAX_WIDTH:
             raise BackendUnavailable(
@@ -227,14 +301,16 @@ class NumpyBulkOps(BulkOps):
         self.small_cutoff = small_cutoff
         self._py = PyBulkOps(field)
 
+    def _arrays(self, rows: int) -> Any:
+        """numpy if ``rows`` reach the cutoff and numpy imports, else ``None``."""
+        return _numpy() if rows >= self.small_cutoff else None
+
     # ------------------------------------------------------------ primitives
 
     def _mul_arrays(self, a, b):
         """Element-wise carry-less product + reduction of two uint64 arrays."""
-        field = self.field
-        width = field.width
         product = _np.zeros_like(a)
-        for bit in range(width):
+        for bit in range(self.field.width):
             mask = (b >> _np.uint64(bit)) & _np.uint64(1)
             product ^= (a << _np.uint64(bit)) * mask
         return self._reduce(product)
@@ -251,9 +327,8 @@ class NumpyBulkOps(BulkOps):
 
     def _reduce(self, product):
         """Vectorized reduction of degree < 2w polynomials mod the field poly."""
-        field = self.field
-        width = field.width
-        modulus = field.modulus
+        width = self.field.width
+        modulus = self.field.modulus
         for degree in range(2 * width - 2, width - 1, -1):
             mask = (product >> _np.uint64(degree)) & _np.uint64(1)
             product ^= _np.uint64(modulus << (degree - width)) * mask
@@ -265,9 +340,10 @@ class NumpyBulkOps(BulkOps):
         self._require_field()
         if not len(elements):
             return []
-        if len(elements) < self.small_cutoff:
+        np = self._arrays(len(elements) // LANES_PER_ROW)
+        if np is None:
             return self._py.mul_many(elements, multiplier)
-        a = _np.asarray(elements, dtype=_np.uint64)
+        a = np.asarray(elements, dtype=np.uint64)
         if isinstance(multiplier, int):
             if multiplier == 0:
                 return [0] * len(elements)
@@ -275,12 +351,12 @@ class NumpyBulkOps(BulkOps):
         if len(multiplier) != len(elements):
             raise ValueError("mul_many got %d elements but %d multipliers"
                              % (len(elements), len(multiplier)))
-        b = _np.asarray(multiplier, dtype=_np.uint64)
+        b = np.asarray(multiplier, dtype=np.uint64)
         return self._mul_arrays(a, b).tolist()
 
     def pow_range(self, base: int, count: int) -> list[int]:
-        # A single power chain is inherently sequential; the windowed
-        # pure-Python multiplier is the faster kernel for it.
+        # A single power chain is one row: the table-driven Python chain is
+        # the faster kernel for it.
         return self._py.pow_range(base, count)
 
     def pow_range_many(self, bases: Sequence[int], count: int) -> list[list[int]]:
@@ -289,12 +365,13 @@ class NumpyBulkOps(BulkOps):
             raise ValueError("count must be non-negative, got %d" % count)
         if count == 0 or not len(bases):
             return [[] for _ in bases]
-        if len(bases) * count < self.small_cutoff:
+        np = self._arrays(len(bases))
+        if np is None:
             return self._py.pow_range_many(bases, count)
         # Column j holds x^(j+1).  Doubling: once columns [0, m) are filled,
         # block [m, m+s) is block [0, s) times each row's x^m (column m-1),
         # so the whole matrix takes ceil(log2 count) broadcast products.
-        matrix = _np.empty((len(bases), count), dtype=_np.uint64)
+        matrix = np.empty((len(bases), count), dtype=np.uint64)
         matrix[:, 0] = bases
         filled = 1
         while filled < count:
@@ -310,15 +387,16 @@ class NumpyBulkOps(BulkOps):
         rows = list(rows)
         if not rows:
             return target
-        length = len(target)
-        if len(rows) * length < self.small_cutoff:
+        np = self._arrays(len(rows))
+        if np is None:
             return self._py.xor_accumulate(target, rows)
+        length = len(target)
         for row in rows:
             if len(row) != length:
                 raise ValueError("xor_accumulate row of length %d does not match "
                                  "target length %d" % (len(row), length))
-        stacked = _np.asarray(rows, dtype=_np.uint64)
-        combined = _np.bitwise_xor.reduce(stacked, axis=0)
+        stacked = np.asarray(rows, dtype=np.uint64)
+        combined = np.bitwise_xor.reduce(stacked, axis=0)
         for index, value in enumerate(combined.tolist()):
             target[index] ^= value
         return target
@@ -326,33 +404,41 @@ class NumpyBulkOps(BulkOps):
     def scatter_xor_rows(self, num_rows: int, row_len: int,
                          indices: Sequence[int],
                          rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        if len(indices) * row_len < self.small_cutoff:
+        np = self._arrays(len(indices))
+        if np is None:
             return self._py.scatter_xor_rows(num_rows, row_len, indices, rows)
-        matrix = _np.zeros((num_rows, row_len), dtype=_np.uint64)
+        matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
         if len(indices):
-            index_array = _np.asarray(indices, dtype=_np.intp)
-            row_array = _np.asarray(rows, dtype=_np.uint64)
-            _np.bitwise_xor.at(matrix, index_array, row_array)
+            index_array = np.asarray(indices, dtype=np.intp)
+            row_array = np.asarray(rows, dtype=np.uint64)
+            np.bitwise_xor.at(matrix, index_array, row_array)
         return matrix.tolist()
 
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
                     values: Sequence[int]) -> list[list[int]]:
-        if len(values) < self.small_cutoff:
+        np = self._arrays(len(values) // LANES_PER_ROW)
+        if np is None:
             return self._py.scatter_xor(num_rows, row_len, row_indices,
                                         col_indices, values)
-        matrix = _np.zeros((num_rows, row_len), dtype=_np.uint64)
+        matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
         if len(values):
-            rows = _np.asarray(row_indices, dtype=_np.intp)
-            cols = _np.asarray(col_indices, dtype=_np.intp)
-            vals = _np.asarray(values, dtype=_np.uint64)
-            _np.bitwise_xor.at(matrix, (rows, cols), vals)
+            rows = np.asarray(row_indices, dtype=np.intp)
+            cols = np.asarray(col_indices, dtype=np.intp)
+            vals = np.asarray(values, dtype=np.uint64)
+            np.bitwise_xor.at(matrix, (rows, cols), vals)
         return matrix.tolist()
 
 
 def numpy_available() -> bool:
-    """Whether the numpy backend can be constructed at all."""
-    return _np is not None
+    """Whether the numpy backend can be constructed at all.
+
+    Answered without importing numpy, from :func:`importlib.util.find_spec`
+    (which also reports a numpy blocked by ``sys.modules["numpy"] = None``
+    as absent).  A numpy that is found but fails to import still counts:
+    the backend then runs every call on the Python kernels.
+    """
+    return _np is not None or importlib.util.find_spec("numpy") is not None
 
 
 def available_backends(field: GF2m | None = None, max_bits: int | None = None) -> list[str]:

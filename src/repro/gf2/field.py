@@ -115,12 +115,21 @@ class GF2m:
         return self.mul(a, a)
 
     def pow(self, base: int, exponent: int) -> int:
-        """Field exponentiation by a non-negative integer exponent."""
-        if self._small_log is not None and base != 0:
-            if exponent == 0:
-                return 1
-            log_value = (self._small_log[base] * exponent) % (self.order - 1)
-            return self._small_exp[log_value]
+        """Field exponentiation by a non-negative integer exponent.
+
+        A negative exponent raises ``ValueError`` on every width (use
+        :meth:`inv`), and a base of ``2^w`` or more is reduced first, as in
+        :meth:`inv`.
+        """
+        if exponent < 0:
+            raise ValueError("exponent must be non-negative, got %d" % exponent)
+        if self._small_log is not None:
+            base = base & self._mask if base < self.order else self._reduce(base)
+            if base != 0:
+                if exponent == 0:
+                    return 1
+                log_value = (self._small_log[base] * exponent) % (self.order - 1)
+                return self._small_exp[log_value]
         return self._pow_nocache(base, exponent)
 
     def _pow_nocache(self, base: int, exponent: int) -> int:

@@ -6,16 +6,24 @@ labels being byte-for-byte reproducible regardless of which backend built
 them.
 """
 
+import json
 import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from repro.gf2.bulk import (BackendUnavailable, NumpyBulkOps, PyBulkOps,
+from repro.api import Oracle
+from repro.gf2 import bulk as bulk_module
+from repro.gf2.bulk import (LANES_PER_ROW, NUMPY_MAX_WIDTH, SMALL_ROWS,
+                            BackendUnavailable, NumpyBulkOps, PyBulkOps,
                             available_backends, get_bulk_ops, numpy_available)
 from repro.gf2.field import GF2m
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
 from repro.outdetect.sketch import SketchOutdetect
+from repro.workloads import GraphFamily, make_graph
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -24,7 +32,7 @@ WIDTHS = [4, 8, 13, 20, 22, 27, 32]
 
 def _backends(field):
     backends = [PyBulkOps(field)]
-    if numpy_available():
+    if numpy_available() and (field is None or field.width <= NUMPY_MAX_WIDTH):
         # cutoff 0 forces the vectorized kernels even on tiny inputs
         backends.append(NumpyBulkOps(field, small_cutoff=0))
     return backends
@@ -45,15 +53,54 @@ def test_mul_many_matches_scalar_field_ops(width):
         assert backend.mul_many([], scalar) == []
 
 
-@pytest.mark.parametrize("width", WIDTHS)
+#: Widths of the power-chain kernel: four windows of ceil(w/4) bits up to
+#: w = 32, all full at 16, 24 and 32 and with a short top window at 13 (one
+#: bit), 22 and 25; ceil(w/8) windows above that (33, 64), where numpy does
+#: not reach.
+CHAIN_WIDTHS = [13, 16, 22, 24, 25, 32, 33, 64]
+
+#: Chain lengths: the shortest ones, 2k at the benchmark graph's three levels
+#: (904, 166, 16) and at the 48-vertex test graph's level 0 (146).
+CHAIN_COUNTS = [1, 2, 16, 146, 166, 904]
+
+
+def _repeated_mul(field, base, count):
+    """``[base, base^2, ..., base^count]`` by repeated ``GF2m.mul``."""
+    powers = []
+    current = 1
+    for _ in range(count):
+        current = field.mul(current, base)
+        powers.append(current)
+    return powers
+
+
+@pytest.mark.parametrize("width", sorted(set(WIDTHS) | set(CHAIN_WIDTHS)))
 def test_pow_range_is_consecutive_powers(width):
     field = GF2m(width)
     rng = random.Random(width + 1)
-    base = rng.randrange(1, field.order)
-    expected = [field.pow(base, exponent) for exponent in range(1, 11)]
-    for backend in _backends(field):
-        assert backend.pow_range(base, 10) == expected, backend.name
-        assert backend.pow_range(base, 0) == []
+    bases = [0, 1, field.order - 1] + [rng.randrange(1, field.order) for _ in range(3)]
+    for base in bases:
+        expected = _repeated_mul(field, base, max(CHAIN_COUNTS))
+        assert expected[:10] == [field.pow(base, exponent) for exponent in range(1, 11)]
+        for backend in _backends(field):
+            for count in CHAIN_COUNTS:
+                assert backend.pow_range(base, count) == expected[:count], \
+                    (backend.name, base, count)
+            assert backend.pow_range(base, 0) == []
+
+
+@needs_numpy
+@pytest.mark.parametrize("width", [w for w in CHAIN_WIDTHS if w <= NUMPY_MAX_WIDTH])
+def test_pow_range_many_on_both_sides_of_the_row_crossover(width):
+    field = GF2m(width)
+    rng = random.Random(width + 3)
+    bases = [0, 1, field.order - 1] + [rng.randrange(1, field.order) for _ in range(SMALL_ROWS)]
+    backend = NumpyBulkOps(field)
+    for count in CHAIN_COUNTS:
+        expected = [_repeated_mul(field, base, count) for base in bases]
+        for rows in (SMALL_ROWS - 1, SMALL_ROWS, len(bases)):
+            assert backend.pow_range_many(bases[:rows], count) == expected[:rows], \
+                (rows, count)
 
 
 #: (bases, powers) shapes: decode verification re-encodes 1-20 supports
@@ -80,6 +127,36 @@ def test_pow_range_many_matches_single(width):
         assert backend.pow_range_many([], 5) == []
         with pytest.raises(ValueError):
             backend.pow_range_many(bases, -1)
+
+
+@needs_numpy
+def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
+    reached = []
+
+    def no_numpy():
+        # Record the request and refuse it: the call then runs in Python.
+        reached.append(True)
+        return None
+
+    monkeypatch.setattr(bulk_module, "_numpy", no_numpy)
+    field = GF2m(22)
+    rng = random.Random(4)
+
+    def requests(backend, rows):
+        reached.clear()
+        bases = [rng.randrange(1, field.order) for _ in range(rows)]
+        matrix = backend.pow_range_many(bases, 166)
+        assert matrix == PyBulkOps(field).pow_range_many(bases, 166)
+        backend.scatter_xor_rows(2, 166, [index % 2 for index in range(rows)], matrix)
+        backend.xor_accumulate([0] * 166, matrix)
+        lanes = bases * LANES_PER_ROW
+        backend.mul_many(lanes, lanes)
+        backend.scatter_xor(2, 2, [0] * len(lanes), [1] * len(lanes), lanes)
+        return len(reached)
+
+    assert requests(NumpyBulkOps(field), SMALL_ROWS - 1) == 0
+    assert requests(NumpyBulkOps(field), SMALL_ROWS) == 5
+    assert requests(NumpyBulkOps(field, small_cutoff=0), 1) == 5
 
 
 def test_xor_accumulate_and_scatter_agree_across_backends():
@@ -206,3 +283,89 @@ def test_scheme_construction_respects_env_backend(monkeypatch):
     assert forced.bulk.name == "python"
     for vertex in vertices:
         assert baseline.label_of(vertex) == forced.label_of(vertex)
+
+
+# --------------------------------------------------- numpy loads on first use
+
+def _child_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def test_serving_loads_numpy_only_through_an_array_kernel(tmp_path):
+    """Set-up of a serving process (``import repro.cli``, ``Oracle.load``)
+    leaves numpy unloaded, and a query loads it only by reaching an array
+    kernel, that is, by a call of at least ``small_cutoff`` rows."""
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=48, seed=7)
+    oracle = Oracle.build(graph, max_faults=3)  # GF(2^16), k = 73
+    path = tmp_path / "served.ftcs"
+    oracle.save(str(path))
+    rng = random.Random(7)
+    edges = sorted(graph.edges())
+    vertices = sorted(graph.vertices())
+    queries = [(rng.sample(edges, 3), [rng.sample(vertices, 2) for _ in range(12)])
+               for _ in range(6)]
+    script = textwrap.dedent("""
+        import json
+        import sys
+
+        import repro.cli
+        from repro.api import Oracle
+        from repro.gf2 import bulk
+
+        job = json.load(sys.stdin)
+        oracle = Oracle.load(job["path"])
+        report = {"numpy_after_setup": "numpy" in sys.modules, "sets": []}
+        reached = []
+        load_numpy = bulk._numpy
+
+        def counting_load():
+            reached.append(True)
+            return load_numpy()
+
+        bulk._numpy = counting_load
+        for faults, pairs in job["queries"]:
+            answers = oracle.connected_many([tuple(pair) for pair in pairs],
+                                            [tuple(fault) for fault in faults])
+            report["sets"].append({"answers": answers,
+                                   "numpy": "numpy" in sys.modules,
+                                   "array_kernel": bool(reached)})
+        print(json.dumps(report))
+    """)
+    result = subprocess.run([sys.executable, "-c", script],
+                            input=json.dumps({"path": str(path), "queries": queries}),
+                            capture_output=True, text=True, env=_child_env(), timeout=300)
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    report = json.loads(result.stdout)
+    assert not report["numpy_after_setup"]
+    assert len(report["sets"]) == len(queries)
+    for (faults, pairs), served in zip(queries, report["sets"]):
+        expected = oracle.connected_many([tuple(pair) for pair in pairs],
+                                         [tuple(fault) for fault in faults])
+        assert served["answers"] == expected
+        assert served["array_kernel"] or not served["numpy"], served
+
+
+def test_numpy_is_imported_by_the_first_call_past_the_crossover():
+    pytest.importorskip("numpy")
+    script = textwrap.dedent("""
+        import sys
+
+        from repro.gf2 import GF2m, NumpyBulkOps, PyBulkOps
+        from repro.gf2.bulk import SMALL_ROWS
+
+        assert "numpy" not in sys.modules, "importing repro.gf2 loaded numpy"
+        field = GF2m(16)
+        backend = NumpyBulkOps(field)
+        bases = list(range(1, SMALL_ROWS + 1))
+        expected = PyBulkOps(field).pow_range_many(bases, 146)
+        assert backend.pow_range_many(bases[:-1], 146) == expected[:-1]
+        assert "numpy" not in sys.modules, "a call below the crossover loaded numpy"
+        assert backend.pow_range_many(bases, 146) == expected
+        assert "numpy" in sys.modules, "a call at the crossover ran without numpy"
+    """)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=_child_env(), timeout=120)
+    assert result.returncode == 0, (result.returncode, result.stderr)

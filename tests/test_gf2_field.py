@@ -1,6 +1,10 @@
 """Unit and property tests for GF(2^w) arithmetic."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +92,43 @@ def test_pow_matches_repeated_multiplication(small_field):
         for exponent in range(10):
             assert small_field.pow(base, exponent) == accumulator
             accumulator = small_field.mul(accumulator, base)
+
+
+@pytest.mark.parametrize("width", [8, 13, 22])
+def test_pow_rejects_a_negative_exponent(width):
+    # Untabled widths once looped forever on a negative exponent (-1 >> 1 is
+    # -1), so the calls run in a child process under a timeout.
+    script = textwrap.dedent("""
+        import sys
+        from repro.gf2 import GF2m
+        field = GF2m(int(sys.argv[1]))
+        for exponent in (-1, -2):
+            try:
+                field.pow(5, exponent)
+            except ValueError:
+                continue
+            sys.exit("pow(5, %d) returned" % exponent)
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run([sys.executable, "-c", script, str(width)],
+                            capture_output=True, text=True, env=env, timeout=30)
+    assert result.returncode == 0, (result.returncode, result.stderr)
+
+
+@pytest.mark.parametrize("width", [8, 13, 22])
+def test_pow_reduces_a_non_canonical_base(width):
+    field = GF2m(width)
+    rng = random.Random(width)
+    for value in [1, 2, field.order - 1] + [rng.randrange(1, field.order) for _ in range(20)]:
+        for exponent in (0, 1, 2, 7, field.order + 3):
+            expected = field.pow(value, exponent)
+            assert field.pow(value ^ field.modulus, exponent) == expected
+            assert field.pow(value ^ (field.modulus << 2), exponent) == expected
+    # The field polynomial itself is zero in the field.
+    assert field.pow(field.modulus, 3) == 0
+    assert field.pow(field.modulus, 0) == 1
 
 
 def test_large_field_inverse_and_pow(large_field):
