@@ -18,8 +18,11 @@
     out to threads or processes.  Results are merged back in deterministic
     order, so the labels are bit-identical to a serial build.
 ``assembly``
-    Ancestry labels and the tree-edge scheme (subtree XOR sums) — the
-    sequential wrap-up that consumes the outdetect labels.
+    Ancestry labels and the tree-edge scheme — the sequential wrap-up that
+    consumes the outdetect labels.  Each level's matrix stays in its bulk
+    backend's form (one uint64 array on numpy) from the outdetect stage
+    on, and Proposition 4's subtree XOR sums of a level are one prefix-XOR
+    scan over it in DFS preorder, read back as Python ints once per level.
 
 :meth:`BuildPlan.run` returns a :class:`BuildResult` carrying the built
 pieces plus a :class:`BuildReport` (per-stage wall time and peak memory,
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Optional
 
 from repro.build.executors import BuildExecutor, resolve_executor
 from repro.obs.memory import PeakMemoryMeter
@@ -60,7 +63,7 @@ Vertex = Hashable
 #: The incremental-build seam (:mod:`repro.delta`): called per layered-RS
 #: level with ``(level_index, threshold, edge_ids, vertices, field)``; a
 #: non-``None`` return is adopted as that level's complete label matrix.
-LevelReuseHook = Callable[[int, int, dict, list, object], Optional[list]]
+LevelReuseHook = Callable[[int, int, dict, list, object], Optional[Any]]
 
 #: Stage names, in execution order (the keys of ``BuildReport.stage_seconds``).
 STAGES = ("spanning", "hierarchy", "outdetect", "assembly")
@@ -254,7 +257,7 @@ class BuildPlan:
                        {edge: instance.edge_ids[edge] for edge in level_edges})
                       for level_edges, threshold in zip(hierarchy.levels,
                                                         hierarchy.thresholds)]
-        reused: dict[int, list] = {}
+        reused: dict[int, Any] = {}
         if level_reuse is not None:
             for level_index, (threshold, edge_ids) in enumerate(levels):
                 matrix = level_reuse(level_index, threshold, edge_ids,

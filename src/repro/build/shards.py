@@ -8,24 +8,25 @@ endpoints pre-resolved to integer positions in the level's vertex order so
 no vertex objects (or the vertex list itself) ever cross the boundary.
 
 The result is **sparse**: ``(positions, rows)`` where ``positions`` are the
-vertex positions the shard's edges touch and ``rows`` their partial labels.
-Untouched vertices contribute nothing — their labels are XOR identities — so
-shipping them would only inflate pickling and merging; for a deep level with
-few edges a shard's result is tiny regardless of the graph size.  Because
-vertex labels are XOR sums over incident edges, :func:`merge_shards` can
-fold any partition of the edges back into the exact matrix a single-shot
-build would have produced — bit-identical by construction, regardless of
-executor or shard count.
+vertex positions the shard's edges touch and ``rows`` their partial labels,
+a label matrix of the worker's bulk backend (a uint64 array or int rows,
+both picklable).  Untouched vertices contribute nothing — their labels are
+XOR identities — so shipping them would only inflate pickling and merging;
+for a deep level with few edges a shard's result is tiny regardless of the
+graph size.  Because vertex labels are XOR sums over incident edges,
+:func:`merge_shards` can fold any partition of the edges back into the exact
+matrix a single-shot build would have produced — bit-identical by
+construction, regardless of executor or shard count.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops
 from repro.gf2.field import GF2m
 
 if TYPE_CHECKING:
-    from repro.gf2.bulk import BulkOps
     from repro.outdetect.rs_threshold import RSThresholdOutdetect
     from repro.outdetect.sketch import SketchOutdetect
 
@@ -85,41 +86,21 @@ def build_shard(task: dict) -> tuple:
 
 
 def merge_shards(num_vertices: int, row_len: int, shard_results: list,
-                 bulk: "BulkOps | None" = None) -> list:
+                 bulk: BulkOps | None = None) -> Matrix:
     """XOR sparse shard results into one full ``num_vertices x row_len`` matrix.
 
     XOR is associative and commutative, so the merged matrix is independent
     of how edges were partitioned into shards — the bit-identity guarantee.
     Positions never seen stay the all-zero label (isolated vertices).
 
-    ``bulk`` is an optional XOR-capable :class:`~repro.gf2.bulk.BulkOps`
-    backend; with several shards the whole merge is then one
-    ``scatter_xor_rows`` call (numpy bit-sliced when available) instead of a
-    Python loop.  All paths produce identical matrices.
+    The merge is one :meth:`~repro.gf2.bulk.BulkOps.merge_rows` call of
+    ``bulk`` (auto-selected when omitted), which returns its label matrix:
+    shards built as uint64 arrays merge into one array, and Python rows into
+    Python rows.
     """
-    indices: list[int] = []
-    rows: list = []
-    for positions, shard_rows in shard_results:
-        for position, row in zip(positions, shard_rows):
-            if len(row) != row_len:
-                raise ValueError("shard row of length %d does not fit a "
-                                 "%d-wide level" % (len(row), row_len))
-            indices.append(position)
-            rows.append(row)
-    if len(shard_results) > 1 and bulk is not None:
-        return bulk.scatter_xor_rows(num_vertices, row_len, indices, rows)
-    matrix = [[0] * row_len for _ in range(num_vertices)]
-    if len(shard_results) == 1:
-        # One shard (the serial executor's shape): its rows ARE the level's
-        # rows — place them, skipping the per-element XOR.
-        for position, row in zip(indices, rows):
-            matrix[position] = list(row)
-        return matrix
-    for position, row in zip(indices, rows):
-        target = matrix[position]
-        for index, value in enumerate(row):
-            target[index] ^= value
-    return matrix
+    if bulk is None:
+        bulk = get_bulk_ops(None)
+    return bulk.merge_rows(num_vertices, row_len, shard_results)
 
 
 __all__ = ["build_shard", "merge_shards", "rs_shard_task", "sketch_shard_task"]

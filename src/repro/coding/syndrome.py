@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.gf2.bulk import BulkOps, get_bulk_ops
+from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops
 from repro.gf2.field import GF2m
 
 
@@ -75,12 +75,28 @@ class SyndromeEncoder:
 
     def encode_many(self, elements: Sequence[int]) -> list[list[int]]:
         """The parity-check rows of many elements, computed in one bulk call."""
+        self._check_elements(elements)
+        return self.bulk.pow_range_many(elements, self.length)
+
+    def encode_scattered(self, num_rows: int, elements: Sequence[int],
+                         targets: Sequence[Sequence[int]]) -> Matrix:
+        """The parity-check rows of many elements, XOR-ed into matrix rows.
+
+        Row ``r`` of the returned ``num_rows x 2k`` label matrix (see
+        :meth:`~repro.gf2.bulk.BulkOps.scatter_pow_rows`) is the XOR of
+        ``encode(elements[i])`` over every ``i`` with ``indices[i] == r`` for
+        some ``indices`` in ``targets``: Proposition 2's vertex labels when
+        ``targets`` holds each edge's two endpoints.
+        """
+        self._check_elements(elements)
+        return self.bulk.scatter_pow_rows(num_rows, self.length, elements, targets)
+
+    def _check_elements(self, elements: Sequence[int]) -> None:
         for element in elements:
             if element == 0:
                 raise ValueError("edge identifiers must be non-zero field elements")
             if not self.field.contains(element):
                 raise ValueError("element %d is outside the field" % element)
-        return self.bulk.pow_range_many(elements, self.length)
 
     def encode_prefix(self, element: int, length: int) -> list[int]:
         """The first ``length`` components of ``encode(element)``.
@@ -120,9 +136,3 @@ class SyndromeEncoder:
             return [self.zero() for _ in supports]
         rows = self.encode_many(flat)
         return self.bulk.scatter_xor_rows(len(supports), self.length, owners, rows)
-
-    def accumulate(self, target: list[int], element: int) -> None:
-        """XOR ``g(element)`` into ``target`` in place (used by label builders)."""
-        row = self.encode(element)
-        for index in range(self.length):
-            target[index] ^= row[index]

@@ -5,6 +5,12 @@ ancestry labels of its endpoints plus the XOR of the outdetect labels over the
 subtree hanging below it.  Proposition 4 then lets the decoder reconstruct the
 outdetect label of any union of fragments purely from the labels of the faulty
 edges bounding it.
+
+All subtree sums come from one call, ``OutdetectScheme.subtree_sums``.  The
+ancestry labels of Lemma 7 already order ``T'``: in DFS preorder every
+subtree is one contiguous run of vertices, so each level's sums are one
+prefix-XOR scan over its label matrix (see
+:meth:`repro.gf2.bulk.BulkOps.subtree_xor`).
 """
 
 from __future__ import annotations
@@ -40,29 +46,30 @@ class TreeEdgeLabeling:
     def _build(self) -> None:
         ancestry = self.instance.ancestry
         tree = self.instance.auxiliary.tree_prime
-        for vertex in tree.vertices():
-            self._vertex_labels[vertex] = VertexLabel(ancestry=ancestry.label(vertex))
+        labels = {vertex: ancestry.label(vertex) for vertex in tree.vertices()}
+        for vertex, label in labels.items():
+            self._vertex_labels[vertex] = VertexLabel(ancestry=label)
 
-        # Subtree XOR sums of the outdetect labels, bottom-up (Proposition 4's
-        # per-edge quantity L_out(V_{T'(e)})).
-        subtree_sum: dict[Vertex, object] = {}
-        for vertex in tree.postorder():
-            total = self.outdetect.label_of(vertex)
-            for child in tree.children(vertex):
-                total = self.outdetect.combine(total, subtree_sum[child])
-            subtree_sum[vertex] = total
+        # Proposition 4's per-edge quantity L_out(V_{T'(e)}) for every tree
+        # edge.  A vertex's interval [pre, post] spends one number on entry
+        # and one on exit per vertex below it, so the vertex at preorder
+        # position p heads positions p .. p + (post - pre - 1) / 2.
+        preorder = sorted(labels, key=lambda vertex: labels[vertex].pre)
+        last = [position + (labels[vertex].post - labels[vertex].pre - 1) // 2
+                for position, vertex in enumerate(preorder)]
+        subtree_sum = dict(zip(preorder, self.outdetect.subtree_sums(preorder, last)))
+        # Every label of a scheme has the same size.
+        bits = self.outdetect.label_bit_size(self.outdetect.zero_label())
 
         for vertex in tree.vertices():
             parent = tree.parent(vertex)
             if parent is None:
                 continue
-            edge = canonical_edge(vertex, parent)
-            label_sum = subtree_sum[vertex]
-            self._edge_labels[edge] = EdgeLabel(
-                ancestry_upper=ancestry.label(parent),
-                ancestry_lower=ancestry.label(vertex),
-                outdetect_subtree_sum=label_sum,
-                outdetect_bits=self.outdetect.label_bit_size(label_sum),
+            self._edge_labels[canonical_edge(vertex, parent)] = EdgeLabel(
+                ancestry_upper=labels[parent],
+                ancestry_lower=labels[vertex],
+                outdetect_subtree_sum=subtree_sum[vertex],
+                outdetect_bits=bits,
             )
 
     # ------------------------------------------------------------- accessors

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.build.plan import BuildPlan, BuildResult
+from repro.build.shards import merge_shards
 from repro.core.config import FTCConfig
 from repro.core.ftc import FTCLabeling
 from repro.graphs.graph import Graph, _vertex_key, canonical_edge
@@ -101,7 +102,7 @@ def _level_reuse_hook(base: FTCLabeling) -> Any:
     base_levels = getattr(base.outdetect, "level_schemes", None)
 
     def reuse(level_index: int, threshold: int, edge_ids: dict,
-              vertices: list, field: Any) -> list | None:
+              vertices: list, field: Any) -> Any:
         if base_levels is None or level_index >= len(base_levels):
             return None
         scheme = base_levels[level_index]
@@ -110,7 +111,6 @@ def _level_reuse_hook(base: FTCLabeling) -> Any:
         if scheme.field.width != getattr(field, "width", None) or \
                 scheme.field.modulus != getattr(field, "modulus", None):
             return None
-        base_labels = scheme._labels
         base_ids = scheme.edge_ids
         delta_items: list = []
         for edge, identifier in edge_ids.items():
@@ -125,32 +125,30 @@ def _level_reuse_hook(base: FTCLabeling) -> Any:
         for edge, base_id in base_ids.items():
             if edge not in edge_ids:
                 delta_items.append((edge, base_id))
-        zero_row = [0] * (2 * threshold)
-        if not delta_items:
-            return [list(base_labels.get(vertex, zero_row))
-                    for vertex in vertices]
         if len(delta_items) > REUSE_MAX_CHANGED_FRACTION * len(edge_ids):
             return None  # locality broke; scratch construction is cheaper
-        # A graph edit renames the subdivision leaves of the changed edges,
-        # so the level's vertex set drifts with the edit: a vertex new to
-        # this level starts from the zero row (all its incident level edges
-        # are delta additions), and removals may reference base-only
-        # vertices — the delta matrix is computed over the union and
-        # truncated back to the target rows.
-        extended = list(vertices)
-        known = set(vertices)
-        for (u, v), _ in delta_items:
-            for endpoint in (u, v):
-                if endpoint not in known:
-                    known.add(endpoint)
-                    extended.append(endpoint)
-        delta_rows = scheme.label_matrix(extended, delta_items)
-        patched = []
-        for vertex, delta_row in zip(vertices, delta_rows):
-            row = list(base_labels.get(vertex, zero_row))
-            scheme.bulk.xor_accumulate(row, [delta_row])
-            patched.append(row)
-        return patched
+        # The base rows of the target vertices; a vertex new to this level
+        # starts from the zero row (all its incident level edges are delta
+        # additions).
+        known = [(position, vertex) for position, vertex in enumerate(vertices)
+                 if vertex in scheme._rows]
+        parts = [([position for position, _ in known],
+                  [scheme.label_of(vertex) for _, vertex in known])]
+        if delta_items:
+            # A graph edit renames the subdivision leaves of the changed
+            # edges, so removals may reference base-only vertices — the delta
+            # matrix is computed over the union and only the target rows are
+            # merged.
+            extended = list(vertices)
+            seen = set(vertices)
+            for (u, v), _ in delta_items:
+                for endpoint in (u, v):
+                    if endpoint not in seen:
+                        seen.add(endpoint)
+                        extended.append(endpoint)
+            delta_rows = scheme.label_matrix(extended, delta_items)
+            parts.append((list(range(len(vertices))), delta_rows[:len(vertices)]))
+        return merge_shards(len(vertices), 2 * threshold, parts, bulk=scheme.bulk)
 
     return reuse
 

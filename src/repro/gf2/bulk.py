@@ -32,19 +32,25 @@ this module: whether it is installed is learnt from
 than :data:`SMALL_ROWS` rows to the Python kernels.  A decode verification
 re-encodes a few support elements times 2k powers and mostly stays below
 that (162 of the 164 on the serving benchmark's 42 fault sets), so a query
-server loads numpy only if a session needs a wide verification, and the
-label build, every edge times 2k, keeps the arrays.  The crossover was
-measured on a 2-vCPU host for a verification (``pow_range_many`` plus
-``scatter_xor_rows``) at GF(2^22): at 904 powers Python took 4.5 ms at 12
-rows against 4.9 ms for numpy and 6.0 ms at 16 against 3.7 ms; at 16-166
-powers the two met between 32 and 48 rows.  The cutoff takes the widest
-level's crossover.
+server loads numpy only if a session needs a wide verification.  The label
+build, every edge of a level times 2k, keeps the arrays: a level of 16 edges
+or more is one uint64 *label matrix* from its power rows through the shard
+merge to its subtree sums (``scatter_pow_rows``, ``merge_rows``,
+``subtree_xor``), and only the sums come back as Python ints.  The Python
+kernels of those methods are the reference and the no-numpy path.
+
+The crossover was measured on a 2-vCPU host for a verification
+(``pow_range_many`` plus ``scatter_xor_rows``) at GF(2^22): at 904 powers
+Python took 4.5 ms at 12 rows against 4.9 ms for numpy and 6.0 ms at 16
+against 3.7 ms; at 16-166 powers the two met between 32 and 48 rows.  The
+cutoff takes the widest level's crossover.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 from abc import ABC, abstractmethod
 from typing import Any, Iterable, Sequence
 
@@ -64,6 +70,10 @@ SMALL_ROWS = 16
 #: Element-wise ops (``mul_many``, ``scatter_xor``) count this many elements
 #: as one row, which puts their default crossover at 256 elements.
 LANES_PER_ROW = 16
+
+#: A label matrix (see :meth:`BulkOps.scatter_pow_rows`): a list of int rows
+#: from the Python kernels, a 2-D ``uint64`` array from the numpy ones.
+Matrix = Any
 
 #: numpy, once an array kernel has imported it (``None`` before that).
 _np: Any = None
@@ -176,6 +186,50 @@ class BulkOps(ABC):
         """Build a zero matrix and XOR ``values[i]`` into cell
         ``(row_indices[i], col_indices[i])`` for every ``i``."""
 
+    # --------------------------------------------------------- label matrices
+    #
+    # The label build keeps each level's vertex labels as one label matrix:
+    # a list of int rows from the Python kernels, one 2-D uint64 array from
+    # the numpy ones.  Only the methods below make, combine or read one, and
+    # what they hand back to callers is always Python ints.
+
+    @abstractmethod
+    def scatter_pow_rows(self, num_rows: int, count: int, bases: Sequence[int],
+                         targets: Sequence[Sequence[int]]) -> Matrix:
+        """A ``num_rows x count`` label matrix of XOR-ed power rows.
+
+        The row ``(x, x^2, ..., x^count)`` of ``x = bases[i]`` is XOR-ed into
+        row ``indices[i]`` of a zero matrix for every ``indices`` in
+        ``targets``: with ``targets = (firsts, seconds)`` an edge's
+        parity-check row reaches both of its endpoints (Proposition 2).
+        """
+
+    @abstractmethod
+    def merge_rows(self, num_rows: int, row_len: int,
+                   parts: Iterable[tuple[Sequence[int], Any]]) -> Matrix:
+        """A ``num_rows x row_len`` label matrix XOR-ed together from parts.
+
+        Each part is ``(indices, rows)``: ``rows[i]`` is XOR-ed into row
+        ``indices[i]``.  ``rows`` is a label matrix or a sequence of int rows;
+        a row of another length raises ``ValueError``.
+        """
+
+    @abstractmethod
+    def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
+        """Row ``index`` of a label matrix, as a tuple of Python ints."""
+
+    @abstractmethod
+    def subtree_xor(self, matrix: Matrix, order: Sequence[int],
+                    last: Sequence[int]) -> list[tuple[int, ...]]:
+        """XOR sums of the rows under every vertex of a rooted tree.
+
+        ``order[p]`` is the matrix row of the vertex at DFS preorder position
+        ``p`` and ``last[p]`` the position of the last vertex of its subtree,
+        which in preorder occupies positions ``p .. last[p]``.  Entry ``p``
+        of the result is the XOR of rows ``order[p], ..., order[last[p]]``,
+        as a tuple of Python ints.
+        """
+
 
 class PyBulkOps(BulkOps):
     """Pure-Python, table-driven reference backend (always available).
@@ -255,12 +309,7 @@ class PyBulkOps(BulkOps):
     def scatter_xor_rows(self, num_rows: int, row_len: int,
                          indices: Sequence[int],
                          rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        matrix = [[0] * row_len for _ in range(num_rows)]
-        for index, row in zip(indices, rows):
-            target = matrix[index]
-            for position, value in enumerate(row):
-                target[position] ^= value
-        return matrix
+        return self.merge_rows(num_rows, row_len, [(indices, rows)])
 
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
@@ -270,6 +319,46 @@ class PyBulkOps(BulkOps):
             matrix[row][col] ^= value
         return matrix
 
+    def scatter_pow_rows(self, num_rows: int, count: int, bases: Sequence[int],
+                         targets: Sequence[Sequence[int]]) -> Matrix:
+        rows = self.pow_range_many(bases, count)
+        return self.merge_rows(num_rows, count, [(indices, rows) for indices in targets])
+
+    def merge_rows(self, num_rows: int, row_len: int,
+                   parts: Iterable[tuple[Sequence[int], Any]]) -> Matrix:
+        # A row's first contribution is copied, not XOR-ed into zeros.
+        zero: list[int] = [0] * row_len
+        matrix = [zero] * num_rows
+        for indices, rows in parts:
+            _check_targets(indices, rows)
+            for index, row in zip(indices, rows):
+                if len(row) != row_len:
+                    raise ValueError("row of length %d does not fit a "
+                                     "%d-wide matrix" % (len(row), row_len))
+                current = matrix[index]
+                matrix[index] = (list(row) if current is zero
+                                 else [a ^ b for a, b in zip(current, row)])
+        return [[0] * row_len if row is zero else row for row in matrix]
+
+    def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
+        return tuple(matrix[index])
+
+    def subtree_xor(self, matrix: Matrix, order: Sequence[int],
+                    last: Sequence[int]) -> list[tuple[int, ...]]:
+        # Fold every subtree into its root, children before parents: in
+        # reverse preorder each child's sum is complete when its parent's
+        # turn comes, and the children of position p start at p + 1 and
+        # follow one another subtree by subtree.
+        sums: list = [()] * len(order)
+        for position in range(len(order) - 1, -1, -1):
+            total = matrix[order[position]]
+            child = position + 1
+            while child <= last[position]:
+                total = [a ^ b for a, b in zip(total, sums[child])]
+                child = last[child] + 1
+            sums[position] = tuple(total)
+        return sums
+
 
 class NumpyBulkOps(BulkOps):
     """Bit-sliced numpy backend (uint64 lanes, bit-identical to PyBulkOps).
@@ -277,9 +366,11 @@ class NumpyBulkOps(BulkOps):
     Calls with fewer than ``small_cutoff`` rows go to the pure-Python kernels:
     array round-trips cost more than they save on small inputs, and both paths
     compute the exact same field arithmetic.  ``pow_range_many``,
-    ``scatter_xor_rows`` and ``xor_accumulate`` count their rows; the
-    element-wise ``mul_many`` and ``scatter_xor`` count :data:`LANES_PER_ROW`
-    elements as a row.  ``small_cutoff=0`` forces the array kernels.  numpy
+    ``scatter_pow_rows``, ``scatter_xor_rows`` and ``xor_accumulate`` count
+    their rows; the element-wise ``mul_many`` and ``scatter_xor`` count
+    :data:`LANES_PER_ROW` elements as a row.  The other label-matrix methods
+    follow the form of the matrices they are given.  ``small_cutoff=0``
+    forces the array kernels.  numpy
     itself is imported when the first call reaches one, and should that
     import fail, the call runs on the Python kernels instead.
     """
@@ -368,9 +459,15 @@ class NumpyBulkOps(BulkOps):
         np = self._arrays(len(bases))
         if np is None:
             return self._py.pow_range_many(bases, count)
-        # Column j holds x^(j+1).  Doubling: once columns [0, m) are filled,
-        # block [m, m+s) is block [0, s) times each row's x^m (column m-1),
-        # so the whole matrix takes ceil(log2 count) broadcast products.
+        return self._pow_matrix(np, bases, count).tolist()
+
+    def _pow_matrix(self, np: Any, bases: Sequence[int], count: int) -> Any:
+        """The ``len(bases) x count`` uint64 matrix of powers (``count >= 1``).
+
+        Column j holds x^(j+1).  Doubling: once columns [0, m) are filled,
+        block [m, m+s) is block [0, s) times each row's x^m (column m-1), so
+        the whole matrix takes ceil(log2 count) broadcast products.
+        """
         matrix = np.empty((len(bases), count), dtype=np.uint64)
         matrix[:, 0] = bases
         filled = 1
@@ -379,7 +476,7 @@ class NumpyBulkOps(BulkOps):
             matrix[:, filled:filled + step] = self._mul_arrays(
                 matrix[:, :step], matrix[:, filled - 1:filled])
             filled += step
-        return matrix.tolist()
+        return matrix
 
     # --------------------------------------------------------------- xor ops
 
@@ -428,6 +525,79 @@ class NumpyBulkOps(BulkOps):
             vals = np.asarray(values, dtype=np.uint64)
             np.bitwise_xor.at(matrix, (rows, cols), vals)
         return matrix.tolist()
+
+    # --------------------------------------------------------- label matrices
+    #
+    # scatter_pow_rows makes an array from small_cutoff power rows up and
+    # Python rows below that; the other methods work in the form of the
+    # matrices they are given (merge_rows: an array if any part is one), so a
+    # level stays an array from its power rows to its subtree sums and a
+    # small level never loads numpy.
+
+    def scatter_pow_rows(self, num_rows: int, count: int, bases: Sequence[int],
+                         targets: Sequence[Sequence[int]]) -> Matrix:
+        self._require_field()
+        np = self._arrays(len(bases))
+        if np is None or count <= 0 or not len(bases):
+            return self._py.scatter_pow_rows(num_rows, count, bases, targets)
+        powers = self._pow_matrix(np, bases, count)
+        return self.merge_rows(num_rows, count,
+                               [(indices, powers) for indices in targets])
+
+    def merge_rows(self, num_rows: int, row_len: int,
+                   parts: Iterable[tuple[Sequence[int], Any]]) -> Matrix:
+        parts = list(parts)
+        if not any(_is_array(rows) for _, rows in parts):
+            return self._py.merge_rows(num_rows, row_len, parts)
+        np = _numpy()
+        matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
+        for indices, rows in parts:
+            _check_targets(indices, rows)
+            if not len(indices):
+                continue
+            block = np.asarray(rows, dtype=np.uint64)
+            if block.shape[1:] != (row_len,):
+                raise ValueError("rows of shape %s do not fit a %d-wide matrix"
+                                 % (block.shape, row_len))
+            np.bitwise_xor.at(matrix, np.asarray(indices, dtype=np.intp), block)
+        return matrix
+
+    def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
+        if not _is_array(matrix):
+            return self._py.matrix_row(matrix, index)
+        return tuple(matrix[index].tolist())
+
+    def subtree_xor(self, matrix: Matrix, order: Sequence[int],
+                    last: Sequence[int]) -> list[tuple[int, ...]]:
+        if not _is_array(matrix) or not len(order):
+            return self._py.subtree_xor(matrix, order, last)
+        # One prefix-XOR scan over the rows in preorder: with
+        # prefix[i] = rows[0] ^ ... ^ rows[i-1], the run p .. last[p] that
+        # holds a subtree sums to prefix[last[p] + 1] ^ prefix[p].
+        np = _numpy()
+        rows = matrix[np.asarray(order, dtype=np.intp)]
+        prefix = np.zeros((len(order) + 1, rows.shape[1]), dtype=np.uint64)
+        np.bitwise_xor.accumulate(rows, axis=0, out=prefix[1:])
+        sums = prefix[np.asarray(last, dtype=np.intp) + 1] ^ prefix[:-1]
+        # Row by row, each tuple takes its ints while they are still cached.
+        return [tuple(row.tolist()) for row in sums]
+
+
+def _is_array(matrix: Matrix) -> bool:
+    """Whether a label matrix is a numpy array (else Python int rows).
+
+    An array exists only once numpy is imported, so this imports nothing: it
+    asks the numpy the array kernels imported, else the one in
+    ``sys.modules`` (arrays made before any kernel ran).
+    """
+    numpy = _np or sys.modules.get("numpy")
+    return numpy is not None and isinstance(matrix, numpy.ndarray)
+
+
+def _check_targets(indices: Sequence[int], items: Sequence) -> None:
+    """Raise ``ValueError`` unless there is one row index per item."""
+    if len(indices) != len(items):
+        raise ValueError("%d row indices for %d rows" % (len(indices), len(items)))
 
 
 def numpy_available() -> bool:

@@ -71,10 +71,14 @@ class GF2m:
         self._small_log = log_table
 
     def _find_generator(self) -> int:
-        """Find a multiplicative generator of the field (small fields only)."""
+        """Find a multiplicative generator of the field (small fields only).
+
+        The search starts at 1, which generates the one-element group of
+        GF(2) and fails the test in every larger field.
+        """
         group_order = self.order - 1
         factors = _distinct_prime_factors(group_order)
-        for candidate in range(2, self.order):
+        for candidate in range(1, self.order):
             if all(self._pow_nocache(candidate, group_order // q) != 1 for q in factors):
                 return candidate
         raise RuntimeError("no generator found; modulus is likely reducible")

@@ -9,7 +9,9 @@ scheme interprets them through its edge-ID codec.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable, Sequence
+
+from repro.gf2.bulk import BulkOps, Matrix
 
 Vertex = Hashable
 Label = Any
@@ -56,6 +58,18 @@ class OutdetectScheme(ABC):
     def label_bit_size(self, label: Label) -> int:
         """Size of one label in bits (for the experiment harness)."""
 
+    @abstractmethod
+    def subtree_sums(self, preorder: Sequence[Vertex],
+                     last: Sequence[int]) -> list:
+        """The combined label of every subtree of a rooted tree at once.
+
+        ``preorder`` lists the tree's vertices in DFS preorder and
+        ``last[p]`` is the position of the last vertex of the subtree rooted
+        at position ``p``, which is ``preorder[p:last[p] + 1]``.  Entry ``p``
+        equals ``label_of_set(preorder[p:last[p] + 1])``: over the tree
+        edges of T' these are the sums Proposition 4 stores in edge labels.
+        """
+
     def decode_many(self, labels) -> list:
         """Decode many combined labels, deferring failures into the result.
 
@@ -92,3 +106,35 @@ class OutdetectScheme(ABC):
         """Maximum label size over a collection of vertices."""
         sizes = [self.label_bit_size(self.label_of(vertex)) for vertex in vertices]
         return max(sizes) if sizes else 0
+
+
+class MatrixLabels:
+    """Vertex labels kept as one label matrix of a bulk backend.
+
+    The label of ``v`` is row ``_rows[v]`` of ``_matrix``, a matrix in the
+    form of ``bulk`` (a uint64 array on numpy, see
+    :meth:`~repro.gf2.bulk.BulkOps.scatter_pow_rows`), so a build never
+    turns it into Python ints row by row; labels come out as tuples of
+    Python ints.
+    """
+
+    bulk: BulkOps
+    _matrix: Matrix
+    _rows: dict
+
+    def _adopt_matrix(self, vertices: Iterable[Vertex], matrix: Matrix) -> None:
+        """Take ``matrix`` as the labels of ``vertices``, row by row."""
+        vertices = list(vertices)
+        if len(matrix) != len(vertices):
+            raise ValueError("label matrix has %d rows for %d vertices"
+                             % (len(matrix), len(vertices)))
+        self._rows = {vertex: position for position, vertex in enumerate(vertices)}
+        self._matrix = matrix
+
+    def label_of(self, vertex: Vertex) -> Label:
+        return self.bulk.matrix_row(self._matrix, self._rows[vertex])
+
+    def subtree_sums(self, preorder: Sequence[Vertex],
+                     last: Sequence[int]) -> list:
+        return self.bulk.subtree_xor(
+            self._matrix, [self._rows[vertex] for vertex in preorder], last)

@@ -119,6 +119,11 @@ class LayeredOutdetect(OutdetectScheme):
         return sum(scheme.label_bit_size(part)
                    for scheme, part in zip(self.level_schemes, label))
 
+    def subtree_sums(self, preorder: Sequence[Vertex],
+                     last: Sequence[int]) -> list:
+        return list(zip(*(scheme.subtree_sums(preorder, last)
+                          for scheme in self.level_schemes)))
+
     # ------------------------------------------------------------------ misc
 
     def depth(self) -> int:

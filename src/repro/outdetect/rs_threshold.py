@@ -14,16 +14,16 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 from repro.coding.syndrome import SyndromeEncoder
-from repro.gf2.bulk import BulkOps, get_bulk_ops
+from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops
 from repro.gf2.field import GF2m
 from repro.graphs.graph import Edge, canonical_edge
-from repro.outdetect.base import OutdetectDecodeError, OutdetectScheme
+from repro.outdetect.base import MatrixLabels, OutdetectDecodeError, OutdetectScheme
 
 Vertex = Hashable
 Label = tuple
 
 
-class RSThresholdOutdetect(OutdetectScheme):
+class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
     """k-threshold outdetect labels for one edge set over a fixed vertex set.
 
     Parameters
@@ -79,7 +79,7 @@ class RSThresholdOutdetect(OutdetectScheme):
         scheme._encoder = SyndromeEncoder(field, threshold, bulk=scheme.bulk)
         scheme._decoder = SparseRecoveryDecoder(field, threshold, bulk=scheme.bulk)
         scheme.edge_ids = {}
-        scheme._labels = {}
+        scheme._adopt_matrix([], [])
         return scheme
 
     @classmethod
@@ -91,58 +91,46 @@ class RSThresholdOutdetect(OutdetectScheme):
 
         The merge step of the sharded build plan (:mod:`repro.build.plan`)
         XORs per-shard partial matrices back together and hands the result
-        here; nothing is recomputed, so the scheme is bit-identical to one
-        whose constructor built the same matrix in a single shot.
+        here; nothing is recomputed or copied, so the scheme is bit-identical
+        to one whose constructor built the same matrix in a single shot.
         """
         scheme = cls.decode_only(field, threshold, adaptive=adaptive, bulk=bulk)
         scheme.edge_ids = dict(edge_ids)
-        vertices = list(vertices)
-        if len(matrix) != len(vertices):
-            raise ValueError("label matrix has %d rows for %d vertices"
-                             % (len(matrix), len(vertices)))
-        scheme._labels = {vertex: list(row) for vertex, row in zip(vertices, matrix)}
+        scheme._adopt_matrix(vertices, matrix)
         return scheme
 
-    def label_matrix(self, vertices: Sequence[Vertex],
-                     edge_items: Sequence) -> list:
+    def label_matrix(self, vertices: Sequence[Vertex], edge_items: Sequence) -> Matrix:
         """Partial label matrix of one edge slice, aligned with ``vertices``.
 
         ``edge_items`` is a sequence of ``((u, v), identifier)`` pairs —
         any subset of a level's edges.  Every edge's parity-check row (its
-        consecutive powers) is produced by one ``pow_range_many`` over the
-        identifiers, and the rows are scattered into the per-vertex matrix in
-        one XOR pass.  Because labels are XOR sums over incident edges, the
-        matrices of any partition of the edge set XOR back into the
-        full-build matrix — the shard-friendly shape of the build plan.
+        consecutive powers) is computed and XOR-ed into the rows of both
+        endpoints by one bulk call, which returns the backend's label matrix.
+        Because labels are XOR sums over incident edges, the matrices of any
+        partition of the edge set XOR back into the full-build matrix — the
+        shard-friendly shape of the build plan.
         """
         vertex_index = {vertex: position for position, vertex in enumerate(vertices)}
         edge_items = list(edge_items)
+        firsts: list[int] = []
+        seconds: list[int] = []
         for (u, v), _ in edge_items:
             for endpoint in (u, v):
                 if endpoint not in vertex_index:
                     raise KeyError("edge endpoint %r is not among the scheme's vertices"
                                    % (endpoint,))
-        rows = self._encoder.encode_many([identifier for _, identifier in edge_items])
-        indices: list[int] = []
-        scattered: list[list[int]] = []
-        for ((u, v), _), row in zip(edge_items, rows):
-            indices.append(vertex_index[u])
-            indices.append(vertex_index[v])
-            scattered.append(row)
-            scattered.append(row)
-        return self.bulk.scatter_xor_rows(len(vertices), self._encoder.length,
-                                          indices, scattered)
+            firsts.append(vertex_index[u])
+            seconds.append(vertex_index[v])
+        return self._encoder.encode_scattered(
+            len(vertices), [identifier for _, identifier in edge_items],
+            (firsts, seconds))
 
     def _build_labels(self, vertices: list) -> None:
-        """Compute all vertex labels with two bulk calls (single-shot build)."""
-        matrix = self.label_matrix(vertices, list(self.edge_ids.items()))
-        self._labels: dict[Vertex, list[int]] = {
-            vertex: row for vertex, row in zip(vertices, matrix)}
+        """Compute all vertex labels in one bulk call (single-shot build)."""
+        self._adopt_matrix(vertices,
+                           self.label_matrix(vertices, list(self.edge_ids.items())))
 
     # ------------------------------------------------------------ OutdetectScheme
-
-    def label_of(self, vertex: Vertex) -> Label:
-        return tuple(self._labels[vertex])
 
     def zero_label(self) -> Label:
         return tuple(self._encoder.zero())

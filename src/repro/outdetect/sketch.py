@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Mapping
 
 from repro.gf2.bulk import BulkOps, get_bulk_ops
 from repro.graphs.graph import Edge
-from repro.outdetect.base import OutdetectDecodeError, OutdetectScheme
+from repro.outdetect.base import MatrixLabels, OutdetectDecodeError, OutdetectScheme
 
 Vertex = Hashable
 Label = tuple
@@ -28,7 +28,7 @@ Label = tuple
 _FINGERPRINT_BITS = 32
 
 
-class SketchOutdetect(OutdetectScheme):
+class SketchOutdetect(MatrixLabels, OutdetectScheme):
     """An L0-sampling sketch supporting single outgoing-edge detection.
 
     Parameters
@@ -114,7 +114,7 @@ class SketchOutdetect(OutdetectScheme):
         scheme._cells = scheme.num_levels * scheme.repetitions
         scheme.bulk = bulk if bulk is not None else get_bulk_ops(
             None, max_bits=scheme.id_bits + _FINGERPRINT_BITS)
-        scheme._labels = {}
+        scheme._adopt_matrix([], [])
         return scheme
 
     @classmethod
@@ -132,11 +132,7 @@ class SketchOutdetect(OutdetectScheme):
         """
         scheme = cls.decode_only(num_levels, repetitions, seed, id_bits, bulk=bulk)
         scheme.edge_ids = dict(edge_ids)
-        vertices = list(vertices)
-        if len(matrix) != len(vertices):
-            raise ValueError("label matrix has %d rows for %d vertices"
-                             % (len(matrix), len(vertices)))
-        scheme._labels = {vertex: list(row) for vertex, row in zip(vertices, matrix)}
+        scheme._adopt_matrix(vertices, matrix)
         return scheme
 
     def label_matrix(self, vertices: list, edge_items: list) -> list:
@@ -168,9 +164,8 @@ class SketchOutdetect(OutdetectScheme):
 
     def _build_labels(self, vertices: list) -> None:
         """Accumulate all sampled cell contributions through the bulk backend."""
-        matrix = self.label_matrix(vertices, list(self.edge_ids.items()))
-        self._labels: dict[Vertex, list[int]] = {
-            vertex: row for vertex, row in zip(vertices, matrix)}
+        self._adopt_matrix(vertices,
+                           self.label_matrix(vertices, list(self.edge_ids.items())))
 
     # ----------------------------------------------------------------- hashing
 
@@ -197,9 +192,6 @@ class SketchOutdetect(OutdetectScheme):
         return cells
 
     # ------------------------------------------------------------ OutdetectScheme
-
-    def label_of(self, vertex: Vertex) -> Label:
-        return tuple(self._labels[vertex])
 
     def zero_label(self) -> Label:
         return tuple([0] * self._cells)

@@ -408,13 +408,31 @@ def test_merge_shards_is_sparse_xor():
 
 
 def test_merge_shards_bulk_backend_is_bit_identical():
-    from repro.gf2.bulk import get_bulk_ops
+    from repro.gf2.bulk import NumpyBulkOps, get_bulk_ops, numpy_available
 
     shards = [([0, 2], [[1, 2], [4, 0]]), ([2, 3], [[4, 5], [7, 7]]),
               ([0], [[8, 8]])]
+    expected = [[9, 10], [0, 0], [0, 5], [7, 7]]
     plain = merge_shards(4, 2, shards)
     bulked = merge_shards(4, 2, shards, bulk=get_bulk_ops(None, max_bits=8))
-    assert plain == bulked == [[9, 10], [0, 0], [0, 5], [7, 7]]
+    assert plain == bulked == expected
+    if not numpy_available():
+        return
+    try:
+        import numpy
+    except ImportError:
+        return
+    # Shards built on numpy return uint64 arrays, which merge into one
+    # array, also beside shards of Python rows.
+    arrays = [(positions, numpy.asarray(rows, dtype=numpy.uint64))
+              for positions, rows in shards]
+    numpy_bulk = NumpyBulkOps(None, max_bits=8)
+    assert merge_shards(4, 2, arrays, bulk=numpy_bulk).tolist() == expected
+    assert merge_shards(4, 2, arrays[:1] + shards[1:],
+                        bulk=numpy_bulk).tolist() == expected
+    with pytest.raises(ValueError):
+        merge_shards(4, 2, [([0], numpy.asarray([[1, 2, 3]], dtype=numpy.uint64))],
+                     bulk=numpy_bulk)
 
 
 def test_shard_partitions_merge_to_the_single_shot_matrix():

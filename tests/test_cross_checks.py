@@ -75,17 +75,22 @@ def test_adaptive_and_full_decoding_agree_on_vertex_sets():
 
 def test_proposition4_subtree_sums_match_brute_force():
     """The edge label's subtree sum equals the XOR of vertex outdetect labels below it."""
-    graph = random_connected_graph(14, 28, seed=7)
-    labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
-    outdetect = labeling.outdetect
-    tree_prime = labeling.instance.auxiliary.tree_prime
-    for vertex in list(tree_prime.vertices()):
-        parent = tree_prime.parent(vertex)
-        if parent is None:
-            continue
-        edge_label = labeling._tree_labeling.tree_edge_label(vertex, parent)
-        brute = outdetect.label_of_set(tree_prime.subtree_vertices(vertex))
-        assert edge_label.outdetect_subtree_sum == brute
+    # The first graph has one level of 15 edges, below the bulk backends'
+    # SMALL_ROWS, so its labels are built as Python rows; the second has
+    # levels of 81 and 7 edges, one built as an array (when numpy is
+    # installed) and one as Python rows.
+    for n, m in ((14, 28), (40, 120)):
+        graph = random_connected_graph(n, m, seed=7)
+        labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
+        outdetect = labeling.outdetect
+        tree_prime = labeling.instance.auxiliary.tree_prime
+        for vertex in list(tree_prime.vertices()):
+            parent = tree_prime.parent(vertex)
+            if parent is None:
+                continue
+            edge_label = labeling._tree_labeling.tree_edge_label(vertex, parent)
+            brute = outdetect.label_of_set(tree_prime.subtree_vertices(vertex))
+            assert edge_label.outdetect_subtree_sum == brute
 
 
 def test_whole_tree_outdetect_sum_is_zero():

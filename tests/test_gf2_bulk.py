@@ -247,6 +247,10 @@ def test_rs_scheme_labels_bit_identical_across_backends():
                                      bulk=NumpyBulkOps(field, small_cutoff=0))
     for vertex in vertices:
         assert py_scheme.label_of(vertex) == np_scheme.label_of(vertex)
+        # The numpy scheme keeps its labels in a uint64 array; what it hands
+        # out must still be Python ints, which GF2m arithmetic expects.
+        for scheme in (py_scheme, np_scheme):
+            assert all(type(value) is int for value in scheme.label_of(vertex))
     sample = [py_scheme.label_of(vertex) for vertex in vertices[:6]]
     assert py_scheme.combine_all(sample) == np_scheme.combine_all(sample)
 
@@ -268,6 +272,105 @@ def test_sketch_labels_bit_identical_across_backends():
         assert py_scheme.label_of(vertex) == np_scheme.label_of(vertex)
     sample = [py_scheme.label_of(vertex) for vertex in vertices]
     assert py_scheme.combine_all(sample) == np_scheme.combine_all(sample)
+
+
+#: Row lengths of the subtree-scan parity test: one lane, and 2k at the
+#: deepest (k = 8) and widest (k = 452) levels of the serving benchmark graph.
+SCAN_ROW_LENGTHS = [1, 16, 904]
+
+
+def _preorder(children):
+    """DFS preorder of the tree rooted at 0, and for each position the
+    position of the last vertex of its subtree."""
+    order: list = []
+    ends: dict = {}
+    stack = [(0, False)]
+    while stack:
+        vertex, done = stack.pop()
+        if done:
+            ends[vertex] = len(order) - 1
+            continue
+        order.append(vertex)
+        stack.append((vertex, True))
+        stack.extend((child, False) for child in reversed(children[vertex]))
+    return order, [ends[vertex] for vertex in order]
+
+
+def _scan_trees():
+    """One vertex, a path, a star and seeded random trees, as child lists."""
+    trees = [{0: []},
+             {vertex: [vertex + 1] if vertex < 29 else [] for vertex in range(30)},
+             {vertex: list(range(1, 30)) if vertex == 0 else [] for vertex in range(30)}]
+    rng = random.Random(11)
+    for size in (2, 17, 64):
+        children: dict = {vertex: [] for vertex in range(size)}
+        for vertex in range(1, size):
+            children[rng.randrange(vertex)].append(vertex)
+        trees.append(children)
+    return trees
+
+
+def _label_matrices(rows):
+    """``rows`` in every form a backend takes: Python rows (also through the
+    numpy backend, which hands them to its Python kernel) and a uint64 array."""
+    yield PyBulkOps(None), rows
+    if not numpy_available():
+        return
+    yield NumpyBulkOps(None), rows
+    try:
+        import numpy
+    except ImportError:
+        return
+    yield NumpyBulkOps(None), numpy.asarray(rows, dtype=numpy.uint64)
+
+
+def check_subtree_xor_parity():
+    """Check ``subtree_xor`` of every backend against the XOR of each
+    subtree's rows; returns the names of the backends checked."""
+    rng = random.Random(12)
+    extremes = [0, (1 << 22) - 1, (1 << 64) - 1]
+    checked = set()
+    for children in _scan_trees():
+        order, last = _preorder(children)
+        for length in SCAN_ROW_LENGTHS:
+            rows = [[rng.choice(extremes + [rng.getrandbits(64)]) for _ in range(length)]
+                    for _ in order]
+            expected = []
+            for position in range(len(order)):
+                total = [0] * length
+                for vertex in order[position:last[position] + 1]:
+                    total = [a ^ b for a, b in zip(total, rows[vertex])]
+                expected.append(tuple(total))
+            for backend, matrix in _label_matrices(rows):
+                sums = backend.subtree_xor(matrix, order, last)
+                assert sums == expected, (backend.name, len(order), length)
+                assert all(type(value) is int for total in sums for value in total)
+                checked.add(backend.name)
+    return checked
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True])
+def test_subtree_xor_scan_matches_its_python_twin(numpy_blocked):
+    """The prefix-XOR scan behind Proposition 4's subtree sums equals the
+    Python fold and a brute-force XOR; with numpy blocked, the Python
+    kernel runs alone and numpy stays unloaded."""
+    if not numpy_blocked:
+        expected = {"python", "numpy"} if numpy_available() else {"python"}
+        assert check_subtree_xor_parity() == expected
+        return
+    script = textwrap.dedent("""
+        import runpy
+        import sys
+
+        sys.modules["numpy"] = None
+        checked = runpy.run_path(sys.argv[1])["check_subtree_xor_parity"]()
+        assert checked == {"python"}, checked
+        assert sys.modules["numpy"] is None
+    """)
+    result = subprocess.run([sys.executable, "-c", script, __file__],
+                            capture_output=True, text=True, env=_child_env(),
+                            timeout=120)
+    assert result.returncode == 0, (result.returncode, result.stderr)
 
 
 def test_scheme_construction_respects_env_backend(monkeypatch):

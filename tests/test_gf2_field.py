@@ -117,8 +117,9 @@ def test_pow_rejects_a_negative_exponent(width):
     assert result.returncode == 0, (result.returncode, result.stderr)
 
 
-@pytest.mark.parametrize("width", [8, 13, 22])
+@pytest.mark.parametrize("width", [1, 8, 13, 22])
 def test_pow_reduces_a_non_canonical_base(width):
+    # Width 1 is GF(2), whose multiplicative group {1} is generated by 1.
     field = GF2m(width)
     rng = random.Random(width)
     for value in [1, 2, field.order - 1] + [rng.randrange(1, field.order) for _ in range(20)]:
@@ -129,6 +130,12 @@ def test_pow_reduces_a_non_canonical_base(width):
     # The field polynomial itself is zero in the field.
     assert field.pow(field.modulus, 3) == 0
     assert field.pow(field.modulus, 0) == 1
+    # Every non-zero x has x^(2^w - 1) = 1, and 1 is its own inverse.
+    top = field.order - 1
+    assert field.pow(top, top) == 1
+    assert field.mul(top, field.inv(top)) == 1
+    assert field.mul(top, 1) == top
+    assert field.inv(1) == 1
 
 
 def test_large_field_inverse_and_pow(large_field):
