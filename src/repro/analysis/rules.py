@@ -398,10 +398,7 @@ class LockContract:
         default_factory=lambda: frozenset({"__init__"}))
 
 
-#: The race-detector-lite registry.  ``SessionManager._inflight`` is absent
-#: on purpose: it is event-loop-confined (mutated only from the loop thread),
-#: which a lexical rule cannot distinguish from a race — the confinement is
-#: documented at the attribute instead.  ``ServerMetrics`` itself now holds
+#: The race-detector-lite registry.  ``ServerMetrics`` itself now holds
 #: only registry metric objects (each thread-safe under its own lock, the
 #: ``repro.obs.registry`` contracts below); its legacy entry stays so any
 #: reintroduction of bare counters on the class is caught.
@@ -425,7 +422,8 @@ LOCK_CONTRACTS: tuple[LockContract, ...] = (
                                           "_retired"})),
     LockContract("src/repro/core/ftc.py", "LabelBackedQueries",
                  "_session_lock",
-                 frozenset({"_session_cache", "_session_evictions"}),
+                 frozenset({"_session_cache", "_session_builds",
+                            "_session_evictions"}),
                  exempt_methods=frozenset({"__init__", "_init_session_cache"})),
     LockContract("src/repro/obs/registry.py", "Counter", "_lock",
                  frozenset({"_values"})),

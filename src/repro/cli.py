@@ -482,9 +482,9 @@ def _cmd_batch_query_remote(args: argparse.Namespace) -> int:
 def _answer_fault_sets(args: argparse.Namespace, answerer, source: str,
                        graph, fault_sets: list, pairs: list) -> int:
     """The ``--faults-file`` path of ``batch-query``: sessions for every
-    distinct fault set are constructed up front — fanned out across
-    ``--jobs`` workers — then the shared pair list is answered under each
-    set (a pure cache hit by then)."""
+    distinct fault set are constructed up front — decomposed in ``--jobs``
+    processes — then the shared pair list is answered under each set (a
+    pure cache hit by then)."""
     try:
         answerer.build_sessions(fault_sets, jobs=args.jobs)
         batches = [answerer.connected_many(pairs, faults)
@@ -993,8 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="file with one fault set per line (whitespace-"
                                    "separated u-v edges; '#' comments); the pair "
                                    "list is answered under each fault set, with "
-                                   "sessions built up front — --jobs N constructs "
-                                   "them across N workers")
+                                   "sessions built up front — --jobs N (> 1) "
+                                   "decomposes them in N processes")
     batch_parser.add_argument("--pair", action="append", default=[],
                               help="query pair as s-t (repeatable)")
     batch_parser.add_argument("--pairs-file", default=None,

@@ -227,7 +227,7 @@ class BatchQuerySession:
 def decompose_fault_set(task: dict) -> dict:
     """Compute one fault set's component decomposition from plain data.
 
-    The executor-backed construction path of
+    The process fan-out of
     :meth:`repro.core.ftc.LabelBackedQueries.build_sessions` submits this
     module-level function to a :class:`~repro.build.executors.ProcessExecutor`
     (it must be picklable, like :func:`repro.build.shards.build_shard`).  The

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Iterable, Sequence
+from concurrent.futures import Future
+from functools import partial
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.core.batch import BatchQuerySession
 from repro.core.config import FTCConfig
@@ -82,8 +84,9 @@ class LabelBackedQueries:
 
     The session cache is safe under concurrent access from multiple threads
     (the query server of :mod:`repro.server` shares one oracle between an
-    event loop and a worker-thread executor): every read or write of the LRU
-    happens under one lock, while the expensive
+    event loop and a worker-thread executor) and builds each fault set once
+    (:meth:`_session`): every read or write of the LRU and of the in-flight
+    builds happens under one lock, while the expensive
     :class:`~repro.core.batch.BatchQuerySession` construction happens outside
     it, so builders of distinct fault sets never serialize each other.
     """
@@ -94,6 +97,8 @@ class LabelBackedQueries:
     def _init_session_cache(self) -> None:
         """Set up the (locked) batch-session LRU; call once per instance."""
         self._session_cache: OrderedDict[tuple, BatchQuerySession] = OrderedDict()
+        #: canonical fault key -> future of the build that claimed it.
+        self._session_builds: dict[tuple, Future] = {}
         self._session_lock = threading.Lock()
         self._session_evictions = 0
 
@@ -155,89 +160,63 @@ class LabelBackedQueries:
         Sessions are kept in an LRU keyed by the canonical fault set — the
         order-insensitive, same-tree-edge-deduplicated key of
         :func:`~repro.core.query.canonical_fault_key` — so permutations and
-        redundant restatements of a fault set share one decomposition.
+        redundant restatements of a fault set share one decomposition, and
+        threads asking for one novel fault set at once share one build.
         """
         fault_labels, key = self._fault_labels_keyed(faults)
-        session = self._cached_session(key)
-        if session is not None:
-            return session
-        # Build outside the lock: the decomposition decodes every component
-        # and may be slow, and concurrent builds of distinct fault sets must
-        # proceed in parallel.  Two threads racing on the same fault set both
-        # build, but the insert keeps exactly one (callers wanting
-        # build-once semantics use the single-flight
-        # :class:`repro.server.SessionManager`).
-        return self._insert_session(
-            key, BatchQuerySession(self.outdetect, self.codec, fault_labels))
+        return self._session(key, partial(BatchQuerySession, self.outdetect,
+                                          self.codec, fault_labels))
 
     def build_sessions(self, fault_sets: Sequence[Iterable[Edge]],
-                       executor=None, jobs: int | None = None
-                       ) -> list[BatchQuerySession]:
+                       jobs: int | None = None) -> list[BatchQuerySession]:
         """Build (or fetch) the batch sessions of many distinct fault sets.
 
-        The construction-side executor seam (:mod:`repro.build.executors`)
-        reused on the query side: ``executor`` / ``jobs`` resolve through
-        :func:`~repro.build.executors.resolve_executor` exactly as on
-        ``FTCLabeling`` construction, and the expensive part of every *novel*
-        fault set — the component decomposition — fans out across the
-        resolved strategy.  Process workers receive only plain data (the
-        snapshot outdetect descriptor plus the fault edge labels, which are
-        picklable) and return the decomposition map, so no vertex labels ever
-        cross a process boundary.  Results land in the session LRU and are
-        bit-identical to serially built sessions.
+        Every set goes through the session table of :meth:`_session`, so a
+        set cached or being built elsewhere is shared, never built twice.
+        With ``jobs > 1`` the component decompositions of the absent sets —
+        the expensive part — are computed in ``jobs`` processes first
+        (:func:`~repro.core.batch.decompose_fault_set`; workers receive only
+        plain data, the snapshot outdetect descriptor plus the picklable
+        fault edge labels), and each result is adopted through its set's
+        claim.  Otherwise the sets are built one after another.  Either way
+        the sessions are bit-identical.
 
         Returns one session per input fault set, in input order; duplicate
         fault sets (after canonicalization) share one session.  Raises
         whatever ``batch_session`` would raise for the offending set
         (:class:`KeyError`, :class:`ValueError`,
-        :class:`~repro.core.query.QueryFailure`).
+        :class:`~repro.core.query.QueryFailure`), and :class:`ValueError`
+        for ``jobs < 1``.
         """
-        from repro.build.executors import resolve_executor
-
-        resolved = resolve_executor(executor, jobs)
+        if jobs is not None and jobs < 1:
+            raise ValueError("jobs must be at least 1, got %d" % jobs)
         keyed = [self._fault_labels_keyed(faults) for faults in fault_sets]
-        sessions: dict[tuple, BatchQuerySession] = {}
-        missing: list[tuple] = []
-        missing_labels: dict[tuple, list[EdgeLabel]] = {}
+        labels_of: dict[tuple, list[EdgeLabel]] = {}
         for fault_labels, key in keyed:
-            if key in sessions or key in missing_labels:
-                continue
-            cached = self._cached_session(key)
-            if cached is not None:
-                sessions[key] = cached
-            else:
-                missing.append(key)
-                missing_labels[key] = fault_labels
-        if missing:
-            built = self._build_sessions_missing(
-                resolved, [missing_labels[key] for key in missing])
-            for key, session in zip(missing, built):
-                sessions[key] = self._insert_session(key, session)
+            labels_of.setdefault(key, fault_labels)
+        builds = {key: partial(BatchQuerySession, self.outdetect, self.codec,
+                               labels) for key, labels in labels_of.items()}
+        task = self._decompose_task() if jobs is not None and jobs > 1 else None
+        if task is not None:
+            from repro.build.executors import resolve_executor
+            from repro.core.batch import decompose_fault_set
+
+            absent = [key for key in labels_of
+                      if self._session_entry(key)[0] is None]
+            decompositions = resolve_executor(jobs=jobs).map(
+                decompose_fault_set,
+                [dict(task, fault_labels=labels_of[key]) for key in absent])
+            for key, component_of in zip(absent, decompositions):
+                builds[key] = partial(BatchQuerySession.from_decomposition,
+                                      self.outdetect, self.codec,
+                                      labels_of[key], component_of)
+        sessions = {key: self._session(key, build)
+                    for key, build in builds.items()}
         return [sessions[key] for _, key in keyed]
 
-    def _build_sessions_missing(self, executor, label_lists: list
-                                ) -> list[BatchQuerySession]:
-        """Construct the not-yet-cached sessions on the resolved executor."""
-        tasks = None
-        if executor.name == "process":
-            tasks = self._session_worker_tasks(label_lists)
-        if tasks is None:
-            # Serial and thread strategies (and schemes without a snapshot
-            # descriptor) construct in-process; threads need no pickling.
-            return executor.map(
-                lambda labels: BatchQuerySession(self.outdetect, self.codec, labels),
-                label_lists)
-        from repro.core.batch import decompose_fault_set
-
-        decompositions = executor.map(decompose_fault_set, tasks)
-        return [BatchQuerySession.from_decomposition(self.outdetect, self.codec,
-                                                     labels, component_of)
-                for labels, component_of in zip(label_lists, decompositions)]
-
-    def _session_worker_tasks(self, label_lists: list) -> list | None:
-        """Plain-data process-worker tasks, or ``None`` when the scheme has no
-        snapshot descriptor (process construction then falls back in-process).
-        """
+    def _decompose_task(self) -> dict | None:
+        """The plain-data part of a process worker's task, or ``None`` when
+        the scheme has no snapshot descriptor (its sets build in process)."""
         from repro.core.snapshot import describe_outdetect
 
         try:
@@ -248,42 +227,66 @@ class LabelBackedQueries:
         if hasattr(level, "level_schemes"):
             level = level.level_schemes[0]
         field = self.codec.field
-        return [{
+        return {
             "descriptor": descriptor,
             "field_width": field.width,
             "field_modulus": field.modulus,
             "adaptive": bool(getattr(level, "adaptive", True)),
             "codec_modulus": self.codec.modulus,
             "codec_mode": self.codec.mode,
-            "fault_labels": labels,
-        } for labels in label_lists]
+        }
 
-    def _cached_session(self, key: tuple) -> BatchQuerySession | None:
-        """Locked LRU lookup by canonical fault key (no construction)."""
-        with self._session_lock:
-            session = self._session_cache.get(key)
-            if session is not None:
-                self._session_cache.move_to_end(key)
-            return session
+    def _session(self, key: tuple,
+                 build: Callable[[], BatchQuerySession]) -> BatchQuerySession:
+        """The session of ``key``, built at most once however many threads ask.
 
-    def _insert_session(self, key: tuple,
-                        session: BatchQuerySession) -> BatchQuerySession:
-        """Cache a freshly built session; returns the one callers must use.
-
-        Another thread may have inserted ``key`` while this session was
-        built outside the lock: its session wins, so every caller shares one.
-        Otherwise ``session`` is inserted and the LRU evicts past capacity.
+        The caller that finds ``key`` absent claims it and runs ``build()``
+        at once, outside the lock, so builds of distinct fault sets run in
+        parallel and no waiter waits on a build queued behind it.  Callers
+        that find it being built wait for that build.  A failed build raises
+        here and in every waiter, and leaves the key absent.
         """
+        future, claimed = self._session_entry(key, claim=True)
+        if not claimed:
+            return future.result() if isinstance(future, Future) else future
+        try:
+            session = build()
+        except BaseException as error:
+            with self._session_lock:
+                del self._session_builds[key]
+            future.set_exception(error)
+            raise
         with self._session_lock:
-            existing = self._session_cache.get(key)
-            if existing is not None:
-                self._session_cache.move_to_end(key)
-                return existing
+            del self._session_builds[key]
             self._session_cache[key] = session
             while len(self._session_cache) > self.SESSION_CACHE_SIZE:
                 self._session_cache.popitem(last=False)
                 self._session_evictions += 1
-            return session
+        future.set_result(session)
+        return session
+
+    def _session_entry(self, key: tuple, claim: bool = False) -> tuple:
+        """``(entry, claimed)`` for ``key``, read under ``_session_lock``.
+
+        ``entry`` is the cached session (now most recently used), else the
+        future of its build in flight, else ``None``.  With ``claim`` an
+        absent key is claimed instead: ``entry`` is a new future and
+        ``claimed`` is true (only :meth:`_session` claims).
+        """
+        with self._session_lock:
+            session = self._session_cache.get(key)
+            if session is not None:
+                self._session_cache.move_to_end(key)
+                return session, False
+            future = self._session_builds.get(key)
+            if future is not None or not claim:
+                return future, False
+            future = Future()
+            # Running, so a waiter that gives up (a cancelled
+            # asyncio.wrap_future) cannot cancel the build for the others.
+            future.set_running_or_notify_cancel()
+            self._session_builds[key] = future
+            return future, True
 
     def session_cache_info(self) -> dict:
         """Current occupancy of the batch-session LRU (for stats/metrics)."""

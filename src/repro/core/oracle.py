@@ -109,11 +109,11 @@ class FTConnectivityOracle:
         return self.labeling.batch_session(faults)
 
     def build_sessions(self, fault_sets: Sequence[Iterable[Edge]],
-                       executor=None, jobs: int | None = None) -> list:
-        """Construct sessions for many distinct fault sets, possibly in
-        parallel (see :meth:`~repro.core.ftc.LabelBackedQueries.build_sessions`)."""
-        return self.labeling.build_sessions(fault_sets, executor=executor,
-                                            jobs=jobs)
+                       jobs: int | None = None) -> list:
+        """Construct sessions for many distinct fault sets, in ``jobs``
+        processes when ``jobs > 1`` (see
+        :meth:`~repro.core.ftc.LabelBackedQueries.build_sessions`)."""
+        return self.labeling.build_sessions(fault_sets, jobs=jobs)
 
     def connected_exact(self, s: Vertex, t: Vertex, faults: Iterable[Edge] = ()) -> bool:
         """Ground-truth answer by BFS on G - F (for auditing and tests)."""

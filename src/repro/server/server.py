@@ -445,8 +445,8 @@ class QueryServer:
         pinned to the generation they started on, and client connections
         never close.  A load failure leaves the old oracle serving and
         surfaces as the structured ``reload-failed`` error.  After the swap
-        the hottest live fault sets are replayed against the new labels so
-        the session cache does not go cold.
+        the hottest live fault sets are replayed against the new labels (see
+        :meth:`rewarm_hot_sessions`) so the session cache does not go cold.
         """
         if self._snapshot_path is None:
             raise ProtocolError(protocol.E_RELOAD_FAILED,
@@ -478,18 +478,14 @@ class QueryServer:
         """Replay the hottest live fault sets through the session cache.
 
         Called right after a hot swap (the new oracle's LRU starts cold) and
-        by the optional re-warm timer of :func:`run_server`.  Best-effort on
-        purpose: hot sets recorded against a previous snapshot may reference
-        edges that no longer exist, and a re-warm must never take the server
-        down — such sets simply stay cold.
+        by the optional re-warm timer of :func:`run_server`, through
+        :meth:`~repro.server.session_manager.SessionManager.prewarm_sessions`:
+        a read that meets the re-warm joins its build, and a hot set recorded
+        against a previous snapshot that names a vanished edge stays cold
+        while the others are built.  Returns how many hot sets are cached.
         """
-        fault_sets = self.sessions.hot_fault_sets(top)
-        if not fault_sets:
-            return 0
-        try:
-            return await self.sessions.prewarm_sessions(fault_sets)
-        except (KeyError, ValueError, QueryFailure, LabelDecodeError):
-            return 0
+        return await self.sessions.prewarm_sessions(
+            self.sessions.hot_fault_sets(top))
 
 
 # ------------------------------------------------------- synchronous harness
@@ -596,9 +592,10 @@ def run_server(oracle, host: str = "127.0.0.1", port: int = 0,
     (maintained for plain ``repro serve`` too) closes the restart loop: the
     hottest fault sets recorded there by the previous run are pre-warmed via
     :meth:`~repro.server.session_manager.SessionManager.prewarm_sessions`
-    before readiness is announced, and the current run's hottest sets are
-    written back on graceful shutdown.  ``prewarm_top`` bounds both
-    directions (default: the session manager's top-K).
+    before readiness is announced (a stale set stays cold; the announced
+    ``prewarmed_sessions`` counts the sets cached), and the current run's
+    hottest sets are written back on graceful shutdown.  ``prewarm_top``
+    bounds both directions (default: the session manager's top-K).
 
     ``snapshot_path`` arms zero-downtime hot reload: SIGHUP swaps the
     serving oracle for a fresh load of that same path (see
@@ -641,12 +638,7 @@ def run_server(oracle, host: str = "127.0.0.1", port: int = 0,
                 labelnames=("worker",)).set(1.0, worker=str(worker_index))
         prewarmed = None
         if prewarm_sets:
-            try:
-                prewarmed = await server.sessions.prewarm_sessions(prewarm_sets)
-            except (KeyError, ValueError, QueryFailure, LabelDecodeError):
-                # A stale pre-warm file (snapshot swapped, budget changed)
-                # must never block serving; cold sessions build on demand.
-                prewarmed = 0
+            prewarmed = await server.sessions.prewarm_sessions(prewarm_sets)
         if announce is not None:
             event = {"event": "serving", "host": bound_host,
                      "port": bound_port, "max_faults": oracle.max_faults,

@@ -10,12 +10,13 @@ session LRU:
 * **Shared LRU** — sessions live in the oracle's own ``batch_session`` cache,
   keyed by :func:`~repro.core.query.canonical_fault_key`, so the server, the
   in-process API, and any other thread see one cache with one eviction policy
-  (``max_sessions`` resizes it).
+  (``max_sessions`` resizes it) that builds each fault set once.
 * **Executor offload** — constructing a session decodes the full component
   decomposition; that work runs on a worker thread, never on the event loop.
-* **Single-flight** — a thundering herd of requests for one *novel* fault set
-  triggers exactly one construction; every other request awaits the same
-  future and is counted as ``coalesced`` in the metrics.
+* **Single-flight** — a thundering herd of requests for one *novel* fault set,
+  pre-warm and re-warm included, triggers exactly one construction; a request
+  that finds it in flight awaits it without holding a worker thread and is
+  counted as ``coalesced`` in the metrics.
 * **Hot swap** — :meth:`SessionManager.swap_oracle` atomically replaces the
   oracle behind the manager (the zero-downtime reload of ``repro serve``):
   the replacement is constructed off-loop, every in-flight request stays
@@ -29,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.core.batch import BatchQuerySession
@@ -75,8 +76,6 @@ class SessionManager:
         self._own_executor = executor is None
         self._executor = executor if executor is not None else ThreadPoolExecutor(
             thread_name_prefix="repro-session")
-        #: canonical fault key -> future of the in-flight construction.
-        self._inflight: dict[tuple, asyncio.Future] = {}
         #: Per-fault-set-key traffic, for hot-key reporting / pre-warming.
         self._hot_keys: Counter = Counter()
         #: First-seen human-readable rendering of each tracked key.
@@ -178,57 +177,63 @@ class SessionManager:
         """
         oracle, epoch = self._acquire_oracle()
         try:
-            return await self._session_for(oracle, epoch, list(faults))
+            return await self._session_for(oracle, list(faults))
         finally:
             self._release_oracle(epoch)
 
-    async def _session_for(self, oracle, epoch: int,
-                           fault_list: list) -> BatchQuerySession:
+    async def _session_for(self, oracle, fault_list: list) -> BatchQuerySession:
         """:meth:`session` against one *pinned* oracle (see ``_acquire_oracle``).
 
-        In-flight construction is deduplicated per ``(epoch, key)``: a build
-        started before a swap keeps serving its coalesced waiters from the
-        old oracle, while post-swap requests for the same fault set start a
-        fresh build against the new one.
+        The loop looks the key up in the oracle's session table (one per
+        epoch) without claiming it: a cached session is a hit, a build in
+        flight is awaited, and otherwise :meth:`_get_or_build` runs on a
+        worker thread.
         """
-        loop = asyncio.get_running_loop()
         # Keying decodes at most f (small) edge labels — cheap enough for the
-        # loop, and required before we can dedup in-flight construction.
-        _, key = oracle._fault_labels_keyed(fault_list)
+        # loop, and the worker reuses the labels.
+        fault_labels, key = oracle._fault_labels_keyed(fault_list)
         self._record_hot_key(key, fault_list)
-        session = oracle._cached_session(key)
-        if session is not None:
-            self.metrics.record_session_hit()
-            return session
-        inflight_key = (epoch, key)
-        inflight = self._inflight.get(inflight_key)
-        if inflight is not None:
+        entry, _ = oracle._session_entry(key)
+        if isinstance(entry, Future):
             self.metrics.record_session_coalesced()
-            return await asyncio.shield(inflight)
-        future: asyncio.Future = loop.create_future()
-        self._inflight[inflight_key] = future
-        self._inflight_gauge.set(float(len(self._inflight)))
-        self.metrics.record_session_miss()
+            return await asyncio.wrap_future(entry)
+        if entry is not None:
+            self.metrics.record_session_hit()
+            return entry
+        loop = asyncio.get_running_loop()
+        # The span inherits the request's trace id (the server dispatch span
+        # set the contextvar), so a slow build is correlated with the client
+        # request that triggered it.
+        with self.tracer.span("session.build", faults=len(fault_list)):
+            return await loop.run_in_executor(
+                self._executor, self._get_or_build, oracle, key, fault_labels)
+
+    def _get_or_build(self, oracle, key: tuple,
+                      fault_labels: list) -> BatchQuerySession:
+        """Claim and build ``key``'s session (a miss, and a failure if it
+        raises), or join the build another thread claimed first (coalesced).
+        """
+        built = False
+
+        def build() -> BatchQuerySession:
+            nonlocal built
+            built = True
+            self.metrics.record_session_miss()
+            self._inflight_gauge.inc()
+            try:
+                return BatchQuerySession(oracle.outdetect, oracle.codec,
+                                         fault_labels)
+            except BaseException:
+                self.metrics.record_session_failure()
+                raise
+            finally:
+                self._inflight_gauge.dec()
+
         try:
-            # The span inherits the request's trace id (the server dispatch
-            # span set the contextvar), so a slow build is correlated with
-            # the client request that triggered it.
-            with self.tracer.span("session.build", faults=len(fault_list)):
-                session = await loop.run_in_executor(
-                    self._executor, oracle.batch_session, fault_list)
-        except BaseException as error:
-            self.metrics.record_session_failure()
-            future.set_exception(error)
-            # Mark retrieved so a herd of zero coalesced waiters does not
-            # leave an "exception was never retrieved" warning behind.
-            future.exception()
-            raise
-        else:
-            future.set_result(session)
-            return session
+            return oracle._session(key, build)
         finally:
-            self._inflight.pop(inflight_key, None)
-            self._inflight_gauge.set(float(len(self._inflight)))
+            if not built:
+                self.metrics.record_session_coalesced()
 
     async def connected_many(self, pairs: Sequence[tuple],
                              faults: Iterable = ()) -> list[bool]:
@@ -246,7 +251,7 @@ class SessionManager:
         oracle, epoch = self._acquire_oracle()
         try:
             try:
-                await self._session_for(oracle, epoch, fault_list)
+                await self._session_for(oracle, fault_list)
             except QueryFailure:
                 pass  # oracle.connected_many falls back to the per-query engines
             with self.tracer.span("session.decode", pairs=len(pair_list),
@@ -259,36 +264,36 @@ class SessionManager:
         self.metrics.add_queries(len(answers))
         return answers
 
-    async def prewarm_sessions(self, fault_sets: Sequence[Iterable],
-                               executor=None, jobs: int | None = None) -> int:
-        """Construct the sessions of many distinct fault sets ahead of traffic.
+    async def prewarm_sessions(self, fault_sets: Sequence[Iterable]) -> int:
+        """Build the sessions of many fault sets ahead of traffic.
 
-        Cold-start helper for restarts: feed it the hottest fault sets (e.g.
-        the ones ``stats`` reported before the restart) and every one of them
-        becomes a session-cache hit before the first client arrives.  The
-        fan-out runs through the oracle's executor-backed
-        :meth:`~repro.core.ftc.LabelBackedQueries.build_sessions` —
-        ``executor`` / ``jobs`` select the strategy via
-        :func:`~repro.build.executors.resolve_executor` — on a worker thread,
-        never on the event loop.  Returns the number of sessions built or
-        refreshed.
+        The startup pre-warm and the re-warm after a reload run this.  The
+        sets go one at a time through the oracle's session table on a worker
+        thread, leaving hot keys and request metrics alone.  A set that names
+        an edge the oracle lacks, exceeds the fault budget, or does not
+        decode stays cold; the others are still built.  Returns the number of
+        distinct sets whose session is cached afterwards.
         """
         loop = asyncio.get_running_loop()
         fault_lists = [list(faults) for faults in fault_sets]
         if not fault_lists:
             return 0
+        warmed: dict[tuple, BatchQuerySession] = {}
         oracle, epoch = self._acquire_oracle()
         try:
             with self.tracer.span("session.prewarm",
                                   fault_sets=len(fault_lists)):
-                sessions = await loop.run_in_executor(
-                    self._executor,
-                    lambda: oracle.build_sessions(fault_lists,
-                                                  executor=executor,
-                                                  jobs=jobs))
+                for fault_list in fault_lists:
+                    try:
+                        session = await loop.run_in_executor(
+                            self._executor, oracle.batch_session, fault_list)
+                    except (KeyError, ValueError, QueryFailure):
+                        continue
+                    warmed[session.key] = session
+            return sum(1 for key, session in warmed.items()
+                       if oracle._session_entry(key)[0] is session)
         finally:
             self._release_oracle(epoch)
-        return len({session.key for session in sessions})
 
     # ------------------------------------------------------------- hot keys
 
@@ -358,7 +363,7 @@ class SessionManager:
         """Metrics plus the oracle's cache occupancy, as one JSON-ready dict."""
         stats = self.metrics.snapshot()
         stats["session_cache"] = self.oracle.session_cache_info()
-        stats["inflight_builds"] = len(self._inflight)
+        stats["inflight_builds"] = int(self._inflight_gauge.value())
         stats["snapshot_epoch"] = self.epoch
         # The *_by_key suffix makes the Prometheus renderer emit one labeled
         # family: repro_server_session_hot_keys{key="a-b,c-d"} N.

@@ -273,15 +273,16 @@ def _session_workload(seed=11, n=30, num_sets=4, max_faults=3):
     return graph, labeling, fault_sets, pairs
 
 
-@pytest.mark.parametrize("spec", ["serial", "thread:2", "process:2"])
-def test_build_sessions_executors_agree(spec):
-    """Every executor builds the same decompositions a warm cache would hold."""
+@pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "process:2"])
+def test_build_sessions_executors_agree(jobs):
+    """Serial and process-built sessions hold the decompositions a warm cache
+    would hold."""
     graph, labeling, fault_sets, pairs = _session_workload()
     reference = [labeling.batch_session(faults) for faults in fault_sets]
     expected = [labeling.connected_many(pairs, faults) for faults in fault_sets]
 
     labeling._session_cache.clear()
-    sessions = labeling.build_sessions(fault_sets, executor=spec)
+    sessions = labeling.build_sessions(fault_sets, jobs=jobs)
     assert len(sessions) == len(fault_sets)
     for faults, session, ref, answers in zip(fault_sets, sessions,
                                              reference, expected):
@@ -301,6 +302,41 @@ def test_build_sessions_dedups_and_reuses_cache():
     assert again[1:-1] == sessions
     assert again[-1] is sessions[0]
     assert labeling.build_sessions([]) == []
+    with pytest.raises(ValueError):
+        labeling.build_sessions(fault_sets, jobs=0)
+
+
+def test_batch_session_builds_each_fault_set_once(monkeypatch):
+    """Threads racing on one novel fault set share one build."""
+    import threading
+    import time
+
+    _, labeling, fault_sets, _ = _session_workload(seed=19)
+    built = []
+    original = BatchQuerySession.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        time.sleep(0.05)  # every racer arrives while the build is in flight
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BatchQuerySession, "__init__", counting)
+    barrier = threading.Barrier(8)
+    sessions = []
+
+    def worker():
+        barrier.wait(timeout=30)
+        sessions.append(labeling.batch_session(fault_sets[0]))
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 1
+    assert len(sessions) == 8
+    assert all(session is sessions[0] for session in sessions)
 
 
 def test_prewarm_sessions_primes_the_server_cache():
@@ -314,7 +350,7 @@ def test_prewarm_sessions_primes_the_server_cache():
     async def scenario():
         manager = SessionManager(labeling)
         try:
-            count = await manager.prewarm_sessions(fault_sets, jobs=1)
+            count = await manager.prewarm_sessions(fault_sets)
             assert count == len(fault_sets)
             assert await manager.prewarm_sessions([]) == 0
             await manager.session(fault_sets[0])

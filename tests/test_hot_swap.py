@@ -22,10 +22,13 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.api import Oracle
+from repro.core.batch import BatchQuerySession
 from repro.server import AsyncQueryClient, QueryServer, ServerError
 from repro.workloads import GraphFamily, make_graph
 
@@ -259,6 +262,86 @@ def test_concurrent_load_across_a_swap_never_blends(served, worlds):
     for results in hammered:
         for answers in results:
             assert answers in (expected_a, expected_b)
+
+
+# ----------------------------------------------------------------- re-warm
+
+def _reload_under_hot_reads(served, worlds, monkeypatch, threads,
+                            max_sessions=None):
+    """Reload onto snapshot B while one client per hot set keeps reading it.
+
+    The four single-edge hot sets exist in both snapshots.  Returns the
+    reload report, each reader's last answers, B's answers, and the
+    session builds per fault set counted from the start of the reload.
+    """
+    _, bytes_b, _, pairs = worlds
+    graph_a = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
+    graph_b = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=6)
+    edges_a = set(tuple(sorted(edge)) for edge in graph_a.edges())
+    edges_b = set(tuple(sorted(edge)) for edge in graph_b.edges())
+    hot_sets = [[edge] for edge in sorted(edges_a & edges_b)[:4]]
+    expected = [Oracle.load(bytes_b).connected_many(pairs, faults)
+                for faults in hot_sets]
+    builds: Counter = Counter()
+    original = BatchQuerySession.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        time.sleep(0.02)  # widen the window in which reads meet the re-warm
+        builds[self.key] += 1
+
+    async def scenario():
+        executor = ThreadPoolExecutor(max_workers=threads)
+        server = await _start(served, reload_token="hunter2",
+                              executor=executor, max_sessions=max_sessions)
+        clients = [await AsyncQueryClient.connect(server.host, server.port)
+                   for _ in range(len(hot_sets) + 1)]
+        try:
+            for client, faults in zip(clients, hot_sets):
+                await client.connected_many(pairs, faults)
+            served.write_bytes(bytes_b)
+            monkeypatch.setattr(BatchQuerySession, "__init__", counting)
+            reload = asyncio.ensure_future(clients[-1].reload("hunter2"))
+
+            async def read(client, faults):
+                while not reload.done():
+                    await client.connected_many(pairs, faults)
+                return await client.connected_many(pairs, faults)
+
+            last = await asyncio.gather(
+                *[read(client, faults)
+                  for client, faults in zip(clients, hot_sets)])
+            return await reload, last
+        finally:
+            for client in clients:
+                await client.close()
+            await server.close()
+            executor.shutdown(wait=False)
+
+    report, last = _run(asyncio.wait_for(scenario(), timeout=60))
+    return report, last, expected, builds
+
+
+def test_reload_builds_each_hot_set_once(served, worlds, monkeypatch):
+    """Reads that meet the post-reload re-warm join its builds (or it finds
+    theirs cached): one session build per hot set."""
+    report, last, expected, builds = _reload_under_hot_reads(
+        served, worlds, monkeypatch, threads=4)
+    assert report["epoch"] == 1
+    assert report["rewarmed_sessions"] == 4
+    assert last == expected
+    assert sorted(builds.values()) == [1, 1, 1, 1]
+
+
+def test_reload_under_reads_finishes_on_one_worker(served, worlds,
+                                                   monkeypatch):
+    """With one session worker and one cache slot every read and the
+    re-warm share that thread; no wait may sit behind the build it waits
+    for."""
+    report, last, expected, _ = _reload_under_hot_reads(
+        served, worlds, monkeypatch, threads=1, max_sessions=1)
+    assert report["epoch"] == 1
+    assert last == expected
 
 
 # ------------------------------------------------------------------ SIGHUP

@@ -20,11 +20,15 @@ import asyncio
 import json
 import random
 import threading
+import time
 
 import pytest
 
+from repro.build import executors
+from repro.core.batch import BatchQuerySession
 from repro.core.config import FTCConfig
 from repro.core.ftc import FTCLabeling
+from repro.core.query import QueryFailure
 from repro.core.snapshot import load_snapshot
 from repro.server import (AsyncQueryClient, BackgroundServer, QueryClient,
                           QueryServer, ServerError, SessionManager)
@@ -531,6 +535,112 @@ def test_session_manager_single_flight_counts(world, oracle):
             manager.close()
 
     asyncio.run(scenario())
+
+
+def test_failed_build_reaches_every_waiter(world, oracle, monkeypatch):
+    """A build that raises fails its builder and every request waiting on
+    it, leaves nothing cached or in flight, and the next request builds
+    again."""
+    graph, _ = world
+    (faults, pairs, truth), = workload(graph, num_sets=1, num_pairs=4, seed=12)
+    attempts = []
+    original = BatchQuerySession.__init__
+
+    def failing(self, *args, **kwargs):
+        attempts.append(1)
+        time.sleep(0.2)  # every waiter arrives while the build is in flight
+        raise QueryFailure("injected decode failure")
+
+    monkeypatch.setattr(BatchQuerySession, "__init__", failing)
+
+    async def scenario():
+        manager = SessionManager(oracle)
+        try:
+            results = await asyncio.gather(
+                *[manager.session(faults) for _ in range(4)],
+                return_exceptions=True)
+            assert all(isinstance(result, QueryFailure) for result in results)
+            assert len(attempts) == 1
+            stats = manager.stats()
+            assert stats["inflight_builds"] == 0
+            assert stats["sessions"]["misses"] == 1
+            assert stats["sessions"]["failures"] == 1
+            assert stats["session_cache"]["size"] == 0
+            monkeypatch.setattr(BatchQuerySession, "__init__", original)
+            session = await manager.session(faults)
+            assert session is oracle.batch_session(faults)
+            assert manager.stats()["sessions"]["misses"] == 2
+            assert await manager.connected_many(pairs, faults) == truth
+        finally:
+            manager.close()
+
+    asyncio.run(scenario())
+
+
+def test_prewarm_fails_soft_set_by_set(world, oracle):
+    """A stale set (an edge the oracle lacks) stays cold and the valid sets
+    are still built; pre-warm leaves hot keys and request metrics alone."""
+    graph, _ = world
+    valid = [faults for faults, _, _ in workload(graph, num_sets=3,
+                                                 num_pairs=1, seed=13)]
+    stale = [valid[0][0], (0, 999)]
+
+    async def scenario():
+        manager = SessionManager(oracle)
+        try:
+            warmed = await manager.prewarm_sessions(
+                [valid[0], stale, valid[1], valid[2], valid[1]])
+            return warmed, manager.stats()
+        finally:
+            manager.close()
+
+    warmed, stats = asyncio.run(scenario())
+    assert warmed == 3
+    assert stats["session_cache"]["size"] == 3
+    assert stats["sessions"]["hits"] == stats["sessions"]["misses"] == 0
+    assert stats["session_hot_keys_tracked"] == 0
+
+
+def test_query_side_never_resolves_the_build_executor(world, oracle,
+                                                      monkeypatch, tmp_path,
+                                                      capsys):
+    """``REPRO_BUILD_EXECUTOR`` is a build-side setting: pre-warm, re-warm
+    and ``build_sessions()`` ignore it, so ``batch-query --faults-file``
+    reports the session jobs that ran."""
+    from repro.api import Oracle
+    from repro.cli import load_edge_list, main
+
+    graph, data = world
+    fault_sets = [faults for faults, _, _ in workload(graph, num_sets=4,
+                                                      num_pairs=1, seed=14)]
+    edges = tmp_path / "ring.txt"
+    edges.write_text("a b\nb c\nc d\nd a\nb d\n")
+    snapshot = tmp_path / "ring.ftcs"
+    Oracle.build(load_edge_list(edges), max_faults=2).save(str(snapshot))
+    faults_file = tmp_path / "faults.txt"
+    faults_file.write_text("b-c c-d\na-b\n")
+    resolved = []
+    resolve = executors.resolve_executor
+    monkeypatch.setenv(executors.EXECUTOR_ENV_VAR, "thread:2")
+    monkeypatch.setattr(executors, "resolve_executor",
+                        lambda *args, **kwargs: resolved.append(args) or
+                        resolve(*args, **kwargs))
+
+    async def scenario():
+        server = await _start(oracle)
+        try:
+            assert await server.sessions.prewarm_sessions(fault_sets[:2]) == 2
+            await server.sessions.connected_many([(0, 1)], fault_sets[2])
+            assert await server.rewarm_hot_sessions() == 1
+        finally:
+            await server.close()
+
+    asyncio.run(scenario())
+    assert len(load_snapshot(data).build_sessions(fault_sets)) == 4
+    assert main(["batch-query", "--snapshot", str(snapshot), "--faults-file",
+                 str(faults_file), "--pair", "a-c"]) == 0
+    assert json.loads(capsys.readouterr().out)["session_jobs"] == 1
+    assert resolved == []
 
 
 def test_session_hot_key_accounting(world, oracle):
