@@ -22,14 +22,19 @@ transports — built in process (``Oracle.build``), rehydrated from a snapshot
 selectable by one URI via :func:`open_oracle`.
 """
 
-from repro.core import (FTCConfig, FTCLabeling, FTCSnapshot, FTConnectivityOracle,
-                        RehydratedOracle, SchemeVariant, load_snapshot)
-from repro.graphs import Graph
-from repro.hierarchy.config import ThresholdRule
-from repro.api import (Oracle, OracleProtocol, OracleStats, RemoteOracle,
-                       open_oracle)
-from repro.build import BuildExecutor, BuildReport, build_labeling
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.errors import OracleError, TransportError
+
+if TYPE_CHECKING:
+    from repro.core import (FTCConfig, FTCLabeling, FTCSnapshot, FTConnectivityOracle,
+                            RehydratedOracle, SchemeVariant, load_snapshot)
+    from repro.graphs import Graph
+    from repro.hierarchy.config import ThresholdRule
+    from repro.api import (Oracle, OracleProtocol, OracleStats, RemoteOracle,
+                           open_oracle)
+    from repro.build import BuildExecutor, BuildReport, build_labeling
 
 __version__ = "1.2.0"
 
@@ -55,3 +60,5 @@ __all__ = [
     "open_oracle",
     "__version__",
 ]
+
+__getattr__ = lazy_exports(__name__)

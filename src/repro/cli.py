@@ -483,12 +483,15 @@ def _answer_fault_sets(args: argparse.Namespace, answerer, source: str,
                        graph, fault_sets: list, pairs: list) -> int:
     """The ``--faults-file`` path of ``batch-query``: sessions for every
     distinct fault set are constructed up front — decomposed in ``--jobs``
-    processes — then the shared pair list is answered under each set (a
-    pure cache hit by then)."""
+    processes — then the shared pair list is answered under each set by the
+    session ``build_sessions`` returned for it, not looked up again in the
+    oracle's LRU, which may have evicted it by then."""
     try:
-        answerer.build_sessions(fault_sets, jobs=args.jobs)
-        batches = [answerer.connected_many(pairs, faults)
-                   for faults in fault_sets]
+        sessions = answerer.build_sessions(fault_sets, jobs=args.jobs)
+        labels = {vertex: answerer.vertex_label(vertex)
+                  for pair in pairs for vertex in pair}
+        label_pairs = [(labels[s], labels[t]) for s, t in pairs]
+        batches = [session.connected_many(label_pairs) for session in sessions]
     except LabelDecodeError as error:
         print("error: snapshot label data is corrupt: %s" % error, file=sys.stderr)
         return 2

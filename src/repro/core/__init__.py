@@ -27,14 +27,19 @@ Public entry points
     :mod:`repro.core.snapshot`).
 """
 
-from repro.core.batch import BatchQuerySession
-from repro.core.config import FTCConfig, SchemeVariant
-from repro.core.labels import EdgeLabel, VertexLabel
-from repro.core.ftc import FTCLabeling
-from repro.core.query import BasicQueryEngine, QueryFailure, canonical_fault_key
-from repro.core.fast_query import FastQueryEngine
-from repro.core.oracle import FTConnectivityOracle
-from repro.core.snapshot import FTCSnapshot, RehydratedOracle, load_snapshot
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.batch import BatchQuerySession
+    from repro.core.config import FTCConfig, SchemeVariant
+    from repro.core.labels import EdgeLabel, VertexLabel
+    from repro.core.ftc import FTCLabeling
+    from repro.core.query import BasicQueryEngine, QueryFailure, canonical_fault_key
+    from repro.core.fast_query import FastQueryEngine
+    from repro.core.oracle import FTConnectivityOracle
+    from repro.core.snapshot import FTCSnapshot, RehydratedOracle, load_snapshot
 
 __all__ = [
     "FTCConfig",
@@ -52,3 +57,5 @@ __all__ = [
     "RehydratedOracle",
     "load_snapshot",
 ]
+
+__getattr__ = lazy_exports(__name__)

@@ -25,16 +25,18 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from functools import partial
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from repro.core.batch import BatchQuerySession
 from repro.core.config import FTCConfig
 from repro.core.fast_query import FastQueryEngine
 from repro.core.labels import EdgeLabel, VertexLabel
 from repro.core.query import BasicQueryEngine, QueryFailure, canonical_fault_key
-from repro.core.transform import TransformedInstance
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.outdetect.base import OutdetectScheme
+
+if TYPE_CHECKING:
+    from repro.core.transform import TransformedInstance
 
 Vertex = Hashable
 

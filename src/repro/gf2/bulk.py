@@ -28,22 +28,33 @@ environment variable (``auto`` / ``python`` / ``numpy``).
 
 numpy is imported on the first call that reaches an array kernel, not with
 this module: whether it is installed is learnt from
-:func:`importlib.util.find_spec`.  ``NumpyBulkOps`` sends calls with fewer
-than :data:`SMALL_ROWS` rows to the Python kernels.  A decode verification
-re-encodes a few support elements times 2k powers and mostly stays below
-that (162 of the 164 on the serving benchmark's 42 fault sets), so a query
-server loads numpy only if a session needs a wide verification.  The label
-build, every edge of a level times 2k, keeps the arrays: a level of 16 edges
-or more is one uint64 *label matrix* from its power rows through the shard
-merge to its subtree sums (``scatter_pow_rows``, ``merge_rows``,
-``subtree_xor``), and only the sums come back as Python ints.  The Python
-kernels of those methods are the reference and the no-numpy path.
+:func:`importlib.util.find_spec`.  ``NumpyBulkOps`` sends calls with too few
+rows to the Python kernels, and on power chains "too few" grows as the chains
+get shorter (see below).  A decode verification re-encodes a few support
+elements times 2k powers and mostly stays below the cutoff (162 of the 164 on
+the serving benchmark's 42 fault sets), so a query server loads numpy only if
+a session needs a wide verification.  The label build, every edge of a level
+times 2k, keeps the arrays: a level past the cutoff is one uint64 *label
+matrix* from its power rows through the shard merge to its subtree sums
+(``scatter_pow_rows``, ``merge_rows``, ``subtree_xor``), and only the sums
+come back as Python ints.  The Python kernels of those methods are the
+reference and the no-numpy path.
 
-The crossover was measured on a 2-vCPU host for a verification
-(``pow_range_many`` plus ``scatter_xor_rows``) at GF(2^22): at 904 powers
-Python took 4.5 ms at 12 rows against 4.9 ms for numpy and 6.0 ms at 16
-against 3.7 ms; at 16-166 powers the two met between 32 and 48 rows.  The
-cutoff takes the widest level's crossover.
+Python pays for each row's product tables and for each power; numpy pays for
+each of its log2(c) doubling passes and for each element.  A sweep of a
+verification (``pow_range_many`` plus ``scatter_xor_rows``, the rows spread
+over a quarter as many supports) at GF(2^22) on a 2-vCPU host, timing the
+faster of 40 interleaved runs per side, found numpy faster from these rows
+on (GF(2^16) gave 48 rows at 16-146 powers, 24 at 452 and 16 at 904)::
+
+    powers   16   64  166  256  452  600  904  1300
+    rows     48   56   48   40   32   32   20    16
+
+So a call on chains of c powers (``pow_range_many``, ``scatter_pow_rows``,
+and ``scatter_xor_rows``, which adds up a verification's chains) reaches the
+array kernels from ``small_cutoff * min(max(LONG_CHAIN / c, 1), 3)`` rows: 48
+up to 341 powers, 37 at 452, 19 at 904 and :data:`SMALL_ROWS` from
+:data:`LONG_CHAIN` on.  Other calls need ``small_cutoff`` rows.
 """
 
 from __future__ import annotations
@@ -64,8 +75,13 @@ BACKEND_ENV_VAR = "REPRO_GF2_BACKEND"
 NUMPY_MAX_WIDTH = 32
 
 #: Default ``small_cutoff`` of :class:`NumpyBulkOps`: the fewest rows from
-#: which the row-shaped array kernels beat the Python ones (see above).
+#: which the row-shaped array kernels beat the Python ones on long chains
+#: (see above).
 SMALL_ROWS = 16
+
+#: Chains of fewer powers than this need proportionally more rows to reach
+#: the array kernels, up to three times ``small_cutoff`` (see above).
+LONG_CHAIN = 1024
 
 #: Element-wise ops (``mul_many``, ``scatter_xor``) count this many elements
 #: as one row, which puts their default crossover at 256 elements.
@@ -367,11 +383,12 @@ class NumpyBulkOps(BulkOps):
     array round-trips cost more than they save on small inputs, and both paths
     compute the exact same field arithmetic.  ``pow_range_many``,
     ``scatter_pow_rows``, ``scatter_xor_rows`` and ``xor_accumulate`` count
-    their rows; the element-wise ``mul_many`` and ``scatter_xor`` count
-    :data:`LANES_PER_ROW` elements as a row.  The other label-matrix methods
-    follow the form of the matrices they are given.  ``small_cutoff=0``
-    forces the array kernels.  numpy
-    itself is imported when the first call reaches one, and should that
+    their rows, and the first three need up to three times as many when their
+    rows are shorter than :data:`LONG_CHAIN` (see the module docstring); the
+    element-wise ``mul_many`` and ``scatter_xor`` count :data:`LANES_PER_ROW`
+    elements as a row.  The other label-matrix methods follow the form of the
+    matrices they are given.  ``small_cutoff=0`` forces the array kernels.
+    numpy itself is imported when the first call reaches one, and should that
     import fail, the call runs on the Python kernels instead.
     """
 
@@ -392,9 +409,12 @@ class NumpyBulkOps(BulkOps):
         self.small_cutoff = small_cutoff
         self._py = PyBulkOps(field)
 
-    def _arrays(self, rows: int) -> Any:
-        """numpy if ``rows`` reach the cutoff and numpy imports, else ``None``."""
-        return _numpy() if rows >= self.small_cutoff else None
+    def _arrays(self, rows: int, powers: int = LONG_CHAIN) -> Any:
+        """numpy if ``rows`` rows of ``powers`` powers reach the cutoff and
+        numpy imports, else ``None``.  Calls on no chain keep the default,
+        which needs ``small_cutoff`` rows."""
+        scale = min(max(LONG_CHAIN / max(powers, 1), 1.0), 3.0)
+        return _numpy() if rows >= self.small_cutoff * scale else None
 
     # ------------------------------------------------------------ primitives
 
@@ -456,7 +476,7 @@ class NumpyBulkOps(BulkOps):
             raise ValueError("count must be non-negative, got %d" % count)
         if count == 0 or not len(bases):
             return [[] for _ in bases]
-        np = self._arrays(len(bases))
+        np = self._arrays(len(bases), count)
         if np is None:
             return self._py.pow_range_many(bases, count)
         return self._pow_matrix(np, bases, count).tolist()
@@ -501,7 +521,7 @@ class NumpyBulkOps(BulkOps):
     def scatter_xor_rows(self, num_rows: int, row_len: int,
                          indices: Sequence[int],
                          rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        np = self._arrays(len(indices))
+        np = self._arrays(len(indices), row_len)
         if np is None:
             return self._py.scatter_xor_rows(num_rows, row_len, indices, rows)
         matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
@@ -537,7 +557,7 @@ class NumpyBulkOps(BulkOps):
     def scatter_pow_rows(self, num_rows: int, count: int, bases: Sequence[int],
                          targets: Sequence[Sequence[int]]) -> Matrix:
         self._require_field()
-        np = self._arrays(len(bases))
+        np = self._arrays(len(bases), count)
         if np is None or count <= 0 or not len(bases):
             return self._py.scatter_pow_rows(num_rows, count, bases, targets)
         powers = self._pow_matrix(np, bases, count)

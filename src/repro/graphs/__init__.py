@@ -15,11 +15,16 @@ Everything the labeling schemes need to know about graphs lives here:
   ``T - F`` used by tests and the construction side.
 """
 
-from repro.graphs.graph import Graph, canonical_edge
-from repro.graphs.spanning_tree import RootedTree, bfs_spanning_tree, dfs_spanning_tree
-from repro.graphs.euler import EulerTour
-from repro.graphs.auxiliary import AuxiliaryGraph
-from repro.graphs.fragments import tree_fragments
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.graphs.graph import Graph, canonical_edge
+    from repro.graphs.spanning_tree import RootedTree, bfs_spanning_tree, dfs_spanning_tree
+    from repro.graphs.euler import EulerTour
+    from repro.graphs.auxiliary import AuxiliaryGraph
+    from repro.graphs.fragments import tree_fragments
 
 __all__ = [
     "Graph",
@@ -31,3 +36,5 @@ __all__ = [
     "AuxiliaryGraph",
     "tree_fragments",
 ]
+
+__getattr__ = lazy_exports(__name__)

@@ -16,10 +16,15 @@ regime in which the k-threshold outdetect labels can decode.
   goodness property, used by tests and the ablation benchmark.
 """
 
-from repro.hierarchy.config import HierarchyConfig, ThresholdRule
-from repro.hierarchy.deterministic import build_deterministic_hierarchy
-from repro.hierarchy.randomized import build_randomized_hierarchy
-from repro.hierarchy.base import EdgeHierarchy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.hierarchy.config import HierarchyConfig, ThresholdRule
+    from repro.hierarchy.deterministic import build_deterministic_hierarchy
+    from repro.hierarchy.randomized import build_randomized_hierarchy
+    from repro.hierarchy.base import EdgeHierarchy
 
 __all__ = [
     "HierarchyConfig",
@@ -28,3 +33,5 @@ __all__ = [
     "build_deterministic_hierarchy",
     "build_randomized_hierarchy",
 ]
+
+__getattr__ = lazy_exports(__name__)

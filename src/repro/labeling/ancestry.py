@@ -13,9 +13,10 @@ the tree), which is what keeps the overall decoding function universal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
-from repro.graphs.spanning_tree import RootedTree
+if TYPE_CHECKING:
+    from repro.graphs.spanning_tree import RootedTree
 
 Vertex = Hashable
 

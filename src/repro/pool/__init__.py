@@ -10,14 +10,19 @@ Two pieces that turn one snapshot artifact into multi-core capacity:
   before the first client connects.
 """
 
-from repro.pool.frontend import print_announce, run_pooled_server
-from repro.pool.prewarm import (
-    HOT_KEYS_FORMAT_VERSION,
-    HOT_KEYS_SUFFIX,
-    hot_keys_path,
-    load_hot_fault_sets,
-    save_hot_fault_sets,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pool.frontend import print_announce, run_pooled_server
+    from repro.pool.prewarm import (
+        HOT_KEYS_FORMAT_VERSION,
+        HOT_KEYS_SUFFIX,
+        hot_keys_path,
+        load_hot_fault_sets,
+        save_hot_fault_sets,
+    )
 
 __all__ = [
     "run_pooled_server",
@@ -28,3 +33,5 @@ __all__ = [
     "HOT_KEYS_SUFFIX",
     "HOT_KEYS_FORMAT_VERSION",
 ]
+
+__getattr__ = lazy_exports(__name__)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -107,6 +108,40 @@ def test_cli_batch_query_faults_file(edge_file, capsys, tmp_path):
     assert payload["batches"][0]["results"][0] == \
         {"source": "a", "target": "c", "connected": False}
     assert all(result["connected"] for result in payload["batches"][2]["results"])
+
+
+def test_cli_batch_query_faults_file_builds_each_session_once(tmp_path, capsys,
+                                                             monkeypatch):
+    """Past the oracle's 32-session LRU every fault set is still built once:
+    its pairs are answered by the session ``build_sessions`` returned."""
+    from repro.api import Oracle
+    from repro.core.batch import BatchQuerySession
+    from repro.workloads import GraphFamily, make_graph
+
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=40, seed=3)
+    edge_path = tmp_path / "er40.txt"
+    edge_path.write_text("".join("%s %s\n" % edge for edge in sorted(graph.edges())))
+    snapshot = tmp_path / "er40.ftcs"
+    Oracle.build(load_edge_list(edge_path), max_faults=2).save(str(snapshot))
+    rng = random.Random(40)
+    edges = sorted(graph.edges())
+    fault_sets = set()
+    while len(fault_sets) < 40:
+        fault_sets.add(tuple(sorted(rng.sample(edges, 2))))
+    faults_file = tmp_path / "faults.txt"
+    faults_file.write_text("".join("%s-%s %s-%s\n" % (first + second)
+                                   for first, second in sorted(fault_sets)))
+    built = []
+    init = BatchQuerySession.__init__
+    monkeypatch.setattr(BatchQuerySession, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert main(["batch-query", "--snapshot", str(snapshot), "--edges", str(edge_path),
+                 "--faults-file", str(faults_file), "--random-pairs", "10",
+                 "--check"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["num_fault_sets"] == 40
+    assert payload["ground_truth_mismatches"] == 0
+    assert len(built) == 40
 
 
 def test_cli_batch_query_faults_file_conflicts_and_bad_lines(edge_file, capsys,

@@ -17,8 +17,8 @@ import pytest
 
 from repro.api import Oracle
 from repro.gf2 import bulk as bulk_module
-from repro.gf2.bulk import (LANES_PER_ROW, NUMPY_MAX_WIDTH, SMALL_ROWS,
-                            BackendUnavailable, NumpyBulkOps, PyBulkOps,
+from repro.gf2.bulk import (LANES_PER_ROW, LONG_CHAIN, NUMPY_MAX_WIDTH,
+                            SMALL_ROWS, BackendUnavailable, NumpyBulkOps, PyBulkOps,
                             available_backends, get_bulk_ops, numpy_available)
 from repro.gf2.field import GF2m
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
@@ -94,10 +94,12 @@ def test_pow_range_is_consecutive_powers(width):
 def test_pow_range_many_on_both_sides_of_the_row_crossover(width):
     field = GF2m(width)
     rng = random.Random(width + 3)
-    bases = [0, 1, field.order - 1] + [rng.randrange(1, field.order) for _ in range(SMALL_ROWS)]
+    bases = [0, 1, field.order - 1] + [rng.randrange(1, field.order)
+                                       for _ in range(3 * SMALL_ROWS - 3)]
     backend = NumpyBulkOps(field)
     for count in CHAIN_COUNTS:
         expected = [_repeated_mul(field, base, count) for base in bases]
+        # These chains reach the array kernels from 19 (904 powers) to 48 rows.
         for rows in (SMALL_ROWS - 1, SMALL_ROWS, len(bases)):
             assert backend.pow_range_many(bases[:rows], count) == expected[:rows], \
                 (rows, count)
@@ -142,13 +144,13 @@ def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
     field = GF2m(22)
     rng = random.Random(4)
 
-    def requests(backend, rows):
+    def requests(backend, rows, powers=LONG_CHAIN):
         reached.clear()
         bases = [rng.randrange(1, field.order) for _ in range(rows)]
-        matrix = backend.pow_range_many(bases, 166)
-        assert matrix == PyBulkOps(field).pow_range_many(bases, 166)
-        backend.scatter_xor_rows(2, 166, [index % 2 for index in range(rows)], matrix)
-        backend.xor_accumulate([0] * 166, matrix)
+        matrix = backend.pow_range_many(bases, powers)
+        assert matrix == PyBulkOps(field).pow_range_many(bases, powers)
+        backend.scatter_xor_rows(2, powers, [index % 2 for index in range(rows)], matrix)
+        backend.xor_accumulate([0] * powers, matrix)
         lanes = bases * LANES_PER_ROW
         backend.mul_many(lanes, lanes)
         backend.scatter_xor(2, 2, [0] * len(lanes), [1] * len(lanes), lanes)
@@ -156,7 +158,13 @@ def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
 
     assert requests(NumpyBulkOps(field), SMALL_ROWS - 1) == 0
     assert requests(NumpyBulkOps(field), SMALL_ROWS) == 5
-    assert requests(NumpyBulkOps(field, small_cutoff=0), 1) == 5
+    # Shorter chains need more rows, up to three times the cutoff; the
+    # calls that compute no chain (the last three) do not depend on it.
+    assert requests(NumpyBulkOps(field), 2 * SMALL_ROWS - 1, LONG_CHAIN // 2) == 3
+    assert requests(NumpyBulkOps(field), 2 * SMALL_ROWS, LONG_CHAIN // 2) == 5
+    assert requests(NumpyBulkOps(field), 3 * SMALL_ROWS - 1, 166) == 3
+    assert requests(NumpyBulkOps(field), 3 * SMALL_ROWS, 166) == 5
+    assert requests(NumpyBulkOps(field, small_cutoff=0), 1, 166) == 5
 
 
 def test_xor_accumulate_and_scatter_agree_across_backends():
@@ -462,7 +470,8 @@ def test_numpy_is_imported_by_the_first_call_past_the_crossover():
         assert "numpy" not in sys.modules, "importing repro.gf2 loaded numpy"
         field = GF2m(16)
         backend = NumpyBulkOps(field)
-        bases = list(range(1, SMALL_ROWS + 1))
+        # Chains of 146 powers reach the array kernels from 3 * SMALL_ROWS rows.
+        bases = list(range(1, 3 * SMALL_ROWS + 1))
         expected = PyBulkOps(field).pow_range_many(bases, 146)
         assert backend.pow_range_many(bases[:-1], 146) == expected[:-1]
         assert "numpy" not in sys.modules, "a call below the crossover loaded numpy"
