@@ -8,7 +8,7 @@ see real types, and :func:`lazy_exports` imports each one on first read.
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 import sys
 from typing import Any, Callable
 
@@ -20,25 +20,31 @@ def lazy_exports(package: str) -> Callable[[str], Any]:
     TYPE_CHECKING:`` imports it from the same module and stores it in the
     package, so later reads do not come back here.
     """
-    homes: dict[str, str] = {}
+    homes: dict[str, tuple[str, str]] = {}
 
     def __getattr__(name: str) -> Any:
         if not homes:
             homes.update(_type_checking_imports(sys.modules[package]))
         try:
-            module = homes[name]
+            module, imported = homes[name]
         except KeyError:
             raise AttributeError("module %r has no attribute %r"
                                  % (package, name)) from None
-        value = getattr(importlib.import_module(module), name)
+        if module == package:
+            # ``from . import X`` names a submodule; reading X from the
+            # package itself would come back here.
+            value = importlib.import_module(module + "." + imported)
+        else:
+            value = getattr(importlib.import_module(module), imported)
         setattr(sys.modules[package], name, value)
         return value
 
     return __getattr__
 
 
-def _type_checking_imports(module: Any) -> dict[str, str]:
-    """Name -> module of each ``from M import N`` under ``if TYPE_CHECKING:``."""
+def _type_checking_imports(module: Any) -> dict[str, tuple[str, str]]:
+    """Bound name -> (module, imported name) of each ``from M import N as B``
+    under ``if TYPE_CHECKING:``, with relative modules resolved."""
     import ast
 
     homes = {}
@@ -48,6 +54,9 @@ def _type_checking_imports(module: Any) -> dict[str, str]:
                 and node.test.id == "TYPE_CHECKING":
             for statement in node.body:
                 if isinstance(statement, ast.ImportFrom):
+                    home = importlib.util.resolve_name(
+                        "." * statement.level + (statement.module or ""),
+                        module.__package__)
                     for alias in statement.names:
-                        homes[alias.asname or alias.name] = statement.module
+                        homes[alias.asname or alias.name] = (home, alias.name)
     return homes

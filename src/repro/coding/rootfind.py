@@ -17,14 +17,9 @@ the deterministic alternative available in characteristic two:
     linear.  No randomness is involved and the cost is
     ``O(w^2 * deg(p)^2)`` field operations.
 
-A third option joins the two classics on the batched decode path:
-:func:`chien_roots` is a *vectorized* Chien sweep — one Horner evaluation of
-the polynomial at every non-zero field element, expressed as ``deg(p)``
-element-wise :meth:`~repro.gf2.bulk.BulkOps.mul_many` calls.  Exhaustive
-search is only sensible when the field is small enough and the backend is
-data-parallel, so :func:`find_roots_bulk` picks between the sweep and the
-trace-based method; both return the same sorted set of roots, making the
-choice a pure speed knob.
+The decoder runs :func:`find_roots` on every locator.  :func:`chien_roots`,
+an exhaustive Horner sweep over the whole field, returns the same roots and
+serves only as a cross-check on small fields.
 """
 
 from __future__ import annotations
@@ -34,14 +29,6 @@ from typing import Sequence
 from repro.gf2.bulk import BulkOps
 from repro.gf2.field import GF2m
 from repro.gf2.poly import Gf2Poly
-
-#: Largest field order the vectorized Chien sweep is allowed to enumerate.
-#: Measured on a 2-vCPU host against :func:`find_roots`, for locators of
-#: degree 2 to 16 under the numpy backend: the sweep won at GF(2^8) (0.08
-#: against 0.18 ms at degree 2), and lost at every degree up to 8 at
-#: GF(2^10), 2^12, 2^15 and 2^16 (38.8 against 1.6 ms at degree 2 on
-#: GF(2^16)); at GF(2^13) it broke even at degree 8 and won at 16.
-CHIEN_MAX_ORDER = 1 << 8
 
 
 def find_roots(poly: Gf2Poly) -> list[int]:
@@ -162,26 +149,9 @@ def chien_roots(poly: Gf2Poly, bulk: BulkOps) -> list[int]:
     return sorted(roots)
 
 
-def find_roots_bulk(poly: Gf2Poly, bulk: BulkOps | None = None) -> list[int]:
-    """Root finding with the backend-appropriate strategy.
-
-    The Chien sweep enumerates the whole field, so it is picked only under
-    the numpy backend and on fields of at most ``CHIEN_MAX_ORDER`` elements,
-    where it was measured faster; every other case — including every
-    pure-Python run — uses the deterministic trace-based :func:`find_roots`.
-    Both strategies return identical sorted root lists, so the dispatch never
-    changes results.
-    """
-    if (bulk is None or bulk.name != "numpy" or poly.is_zero()
-            or poly.degree <= 1 or poly.field.order > CHIEN_MAX_ORDER):
-        return find_roots(poly)
-    return chien_roots(poly, bulk)
-
-
-def find_roots_many(polys: Sequence[Gf2Poly],
-                    bulk: BulkOps | None = None) -> list[list[int]]:
+def find_roots_many(polys: Sequence[Gf2Poly]) -> list[list[int]]:
     """Roots of many polynomials (one batched-decode round's locators)."""
-    return [find_roots_bulk(poly, bulk) for poly in polys]
+    return [find_roots(poly) for poly in polys]
 
 
 def _split_with_trace(factor: Gf2Poly, trace_poly: Gf2Poly) -> list[Gf2Poly]:

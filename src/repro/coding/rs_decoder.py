@@ -16,7 +16,10 @@ Adaptive decoding (Appendix B / Proposition 6): because prefixes of
 Reed--Solomon syndromes are themselves valid lower-threshold syndromes, the
 decoder can first try a short prefix and only fall back to longer ones,
 yielding a decoding time that depends on the actual support size rather than
-on the worst-case threshold ``k``.
+on the worst-case threshold ``k``.  A round before the last first checks that
+its locator also generates the first syndrome component the round has not
+seen; a locator that does not cannot lead to a success, so the syndrome moves
+on to the next budget without root finding.
 
 Batched decoding: :meth:`SparseRecoveryDecoder.decode_many_deferred` runs the
 same pipeline over many syndromes at once, advancing every stage — prefix BM,
@@ -38,6 +41,7 @@ from repro.coding.rootfind import find_roots, find_roots_many
 from repro.coding.syndrome import SyndromeEncoder
 from repro.gf2.bulk import BulkOps, get_bulk_ops
 from repro.gf2.field import GF2m
+from repro.gf2.poly import Gf2Poly
 
 
 class DecodeFailure(Exception):
@@ -172,10 +176,13 @@ class SparseRecoveryDecoder:
             degree = locator.degree
             if degree <= 0 or degree > budget:
                 fail(index, "locator degree %d outside (0, %d]" % (degree, budget))
+            elif not final_round and self._unseen_discrepancy(
+                    syndromes[index], locator, budget):
+                retry.append(index)
             else:
                 rooted.append(index)
                 rooted_locators.append(locator)
-        roots_many = find_roots_many(rooted_locators, self.bulk)
+        roots_many = find_roots_many(rooted_locators)
         candidates: list[int] = []
         supports: list[list[int]] = []
         for index, locator, roots in zip(rooted, rooted_locators, roots_many):
@@ -214,6 +221,9 @@ class SparseRecoveryDecoder:
         degree = locator.degree
         if degree <= 0 or degree > budget:
             raise DecodeFailure("locator degree %d outside (0, %d]" % (degree, budget))
+        if budget < self.threshold and self._unseen_discrepancy(syndrome, locator, budget):
+            raise DecodeFailure("locator does not generate syndrome component %d"
+                                % (2 * budget + 1))
         roots = find_roots(locator)
         if len(roots) != degree or any(root == 0 for root in roots):
             raise DecodeFailure("locator of degree %d has %d usable roots" % (degree, len(roots)))
@@ -222,6 +232,26 @@ class SparseRecoveryDecoder:
             raise DecodeFailure("recovered support contains duplicates")
         self._verify(syndrome, support)
         return support
+
+    def _unseen_discrepancy(self, syndrome: Sequence[int], locator: Gf2Poly,
+                            budget: int) -> int:
+        """Berlekamp--Massey's discrepancy on ``syndrome[2 * budget]``, the
+        first component a round of ``budget`` has not seen.
+
+        A round that succeeds recovers a support B of ``locator.degree <=
+        budget`` elements whose power sums are the whole syndrome, and its
+        locator is prod_{b in B} (1 - b z); by Newton's identities that
+        locator generates every component past its degree.  So a non-zero
+        discrepancy means the round would fail, and a round before the last
+        moves the syndrome on to the next budget without root finding or
+        verification.
+        """
+        position = 2 * budget
+        discrepancy = syndrome[position]
+        for offset, coefficient in enumerate(locator.coeffs[1:], 1):
+            if coefficient:
+                discrepancy ^= self.field.mul(coefficient, syndrome[position - offset])
+        return discrepancy
 
     def _verify(self, syndrome: Sequence[int], support: Sequence[int]) -> None:
         """Re-encode the recovered support and compare against the syndrome."""

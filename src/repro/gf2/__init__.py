@@ -17,8 +17,8 @@ Public API
     arbitrary word size.
 ``BulkOps`` / ``get_bulk_ops``
     Pluggable bulk (vectorized) backends — a pure-Python table-driven
-    implementation and an optional numpy bit-sliced one — used by the
-    outdetect layer to compute many consecutive-power rows and XOR
+    implementation and an optional numpy bit-sliced label build — used by
+    the outdetect layer to compute many consecutive-power rows and XOR
     accumulations in one shot.
 """
 

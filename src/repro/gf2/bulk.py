@@ -14,7 +14,7 @@ backends:
     lookups and XORs.  Always available.
 
 ``NumpyBulkOps``
-    Bit-sliced numpy implementation: carry-less products are assembled by
+    Bit-sliced numpy label build: carry-less products are assembled by
     XOR-ing shifted operand arrays one multiplier bit at a time and reduced
     modulo the field polynomial with vectorized conditional XORs.  Requires
     ``numpy`` and a field width ``w <= 32`` (so degree < 2w products fit in
@@ -26,35 +26,27 @@ bit-identical — the cross-check tests and ``bench_batch_queries.py`` assert
 this.  Backend selection can be forced with the ``REPRO_GF2_BACKEND``
 environment variable (``auto`` / ``python`` / ``numpy``).
 
-numpy is imported on the first call that reaches an array kernel, not with
-this module: whether it is installed is learnt from
-:func:`importlib.util.find_spec`.  ``NumpyBulkOps`` sends calls with too few
-rows to the Python kernels, and on power chains "too few" grows as the chains
-get shorter (see below).  A decode verification re-encodes a few support
-elements times 2k powers and mostly stays below the cutoff (162 of the 164 on
-the serving benchmark's 42 fault sets), so a query server loads numpy only if
-a session needs a wide verification.  The label build, every edge of a level
-times 2k, keeps the arrays: a level past the cutoff is one uint64 *label
-matrix* from its power rows through the shard merge to its subtree sums
-(``scatter_pow_rows``, ``merge_rows``, ``subtree_xor``), and only the sums
-come back as Python ints.  The Python kernels of those methods are the
-reference and the no-numpy path.
+Decoding needs only scalar field arithmetic on a few rows at a time, so every
+decode-side method (``mul_many``, ``pow_range``, ``pow_range_many``,
+``xor_accumulate``, ``scatter_xor_rows``) runs on the Python kernels under
+either backend: :class:`NumpyBulkOps` is a :class:`PyBulkOps` that overrides
+only the label-build kernels, so ``REPRO_GF2_BACKEND`` picks the build
+backend.  numpy is imported on the first call that reaches an array kernel,
+not with this module: whether it is installed is learnt from
+:func:`importlib.util.find_spec`.  A level of the label build, every edge
+times 2k, is one uint64 *label matrix* from its power rows through the shard
+merge to its subtree sums (``scatter_pow_rows``, ``merge_rows``,
+``subtree_xor``), and only the sums come back as Python ints.  The Python
+kernels of those methods are the reference and the no-numpy path.
 
-Python pays for each row's product tables and for each power; numpy pays for
-each of its log2(c) doubling passes and for each element.  A sweep of a
-verification (``pow_range_many`` plus ``scatter_xor_rows``, the rows spread
-over a quarter as many supports) at GF(2^22) on a 2-vCPU host, timing the
-faster of 40 interleaved runs per side, found numpy faster from these rows
-on (GF(2^16) gave 48 rows at 16-146 powers, 24 at 452 and 16 at 904)::
-
-    powers   16   64  166  256  452  600  904  1300
-    rows     48   56   48   40   32   32   20    16
-
-So a call on chains of c powers (``pow_range_many``, ``scatter_pow_rows``,
-and ``scatter_xor_rows``, which adds up a verification's chains) reaches the
-array kernels from ``small_cutoff * min(max(LONG_CHAIN / c, 1), 3)`` rows: 48
-up to 341 powers, 37 at 452, 19 at 904 and :data:`SMALL_ROWS` from
-:data:`LONG_CHAIN` on.  Other calls need ``small_cutoff`` rows.
+A level of fewer than :data:`SMALL_ROWS` edges is built in Python.  Python
+pays for each row's product tables and for each power, numpy for each of its
+log2(c) doubling passes and for each element.  Timing ``scatter_pow_rows``
+with two endpoints per row at GF(2^22) on a 2-vCPU host (faster of 15
+runs), the arrays won from 16 rows on chains of 904 powers, from 24 at 452
+and from 48 to 64 at 16 to 166 powers, where they cost at most 2 ms more
+below that.  The cutoff takes the long chains' crossover, the one that
+decides a wide level.
 """
 
 from __future__ import annotations
@@ -74,17 +66,13 @@ BACKEND_ENV_VAR = "REPRO_GF2_BACKEND"
 #: ``< 2w``, so ``2w - 1 <= 63``).
 NUMPY_MAX_WIDTH = 32
 
-#: Default ``small_cutoff`` of :class:`NumpyBulkOps`: the fewest rows from
-#: which the row-shaped array kernels beat the Python ones on long chains
-#: (see above).
+#: Default ``small_cutoff`` of :class:`NumpyBulkOps`: the fewest power rows
+#: from which the array kernels build a level faster than the Python ones on
+#: long chains (see above).
 SMALL_ROWS = 16
 
-#: Chains of fewer powers than this need proportionally more rows to reach
-#: the array kernels, up to three times ``small_cutoff`` (see above).
-LONG_CHAIN = 1024
-
-#: Element-wise ops (``mul_many``, ``scatter_xor``) count this many elements
-#: as one row, which puts their default crossover at 256 elements.
+#: ``scatter_xor`` counts this many elements as one row, which puts its
+#: default crossover at 256 elements.
 LANES_PER_ROW = 16
 
 #: A label matrix (see :meth:`BulkOps.scatter_pow_rows`): a list of int rows
@@ -376,20 +364,18 @@ class PyBulkOps(BulkOps):
         return sums
 
 
-class NumpyBulkOps(BulkOps):
-    """Bit-sliced numpy backend (uint64 lanes, bit-identical to PyBulkOps).
+class NumpyBulkOps(PyBulkOps):
+    """Bit-sliced numpy label build (uint64 lanes, bit-identical to PyBulkOps).
 
-    Calls with fewer than ``small_cutoff`` rows go to the pure-Python kernels:
-    array round-trips cost more than they save on small inputs, and both paths
-    compute the exact same field arithmetic.  ``pow_range_many``,
-    ``scatter_pow_rows``, ``scatter_xor_rows`` and ``xor_accumulate`` count
-    their rows, and the first three need up to three times as many when their
-    rows are shorter than :data:`LONG_CHAIN` (see the module docstring); the
-    element-wise ``mul_many`` and ``scatter_xor`` count :data:`LANES_PER_ROW`
-    elements as a row.  The other label-matrix methods follow the form of the
-    matrices they are given.  ``small_cutoff=0`` forces the array kernels.
-    numpy itself is imported when the first call reaches one, and should that
-    import fail, the call runs on the Python kernels instead.
+    Only the label-build kernels have array versions: ``scatter_pow_rows``
+    and ``scatter_xor`` make a label matrix, ``merge_rows``, ``matrix_row``
+    and ``subtree_xor`` combine and read one.  Every other method, and so the
+    whole decoder, is :class:`PyBulkOps`'s.  ``scatter_pow_rows`` reaches the
+    arrays from ``small_cutoff`` power rows, ``scatter_xor`` counts
+    :data:`LANES_PER_ROW` elements as a row, and the other three follow the
+    form of the matrices they are given.  ``small_cutoff=0`` forces the
+    arrays.  numpy itself is imported when the first call reaches one, and
+    should that import fail, the call runs on the Python kernels instead.
     """
 
     name = "numpy"
@@ -407,14 +393,11 @@ class NumpyBulkOps(BulkOps):
                 "values of %d bits do not fit the uint64 XOR kernels" % max_bits)
         super().__init__(field)
         self.small_cutoff = small_cutoff
-        self._py = PyBulkOps(field)
 
-    def _arrays(self, rows: int, powers: int = LONG_CHAIN) -> Any:
-        """numpy if ``rows`` rows of ``powers`` powers reach the cutoff and
-        numpy imports, else ``None``.  Calls on no chain keep the default,
-        which needs ``small_cutoff`` rows."""
-        scale = min(max(LONG_CHAIN / max(powers, 1), 1.0), 3.0)
-        return _numpy() if rows >= self.small_cutoff * scale else None
+    def _arrays(self, rows: int) -> Any:
+        """numpy if ``rows`` rows reach the cutoff and numpy imports, else
+        ``None``."""
+        return _numpy() if rows >= self.small_cutoff else None
 
     # ------------------------------------------------------------ primitives
 
@@ -426,16 +409,6 @@ class NumpyBulkOps(BulkOps):
             product ^= (a << _np.uint64(bit)) * mask
         return self._reduce(product)
 
-    def _scale_array(self, a, scalar: int):
-        """Multiply a uint64 array by one fixed field element."""
-        product = _np.zeros_like(a)
-        remaining = scalar
-        while remaining:
-            low = remaining & -remaining
-            product ^= a << _np.uint64(low.bit_length() - 1)
-            remaining ^= low
-        return self._reduce(product)
-
     def _reduce(self, product):
         """Vectorized reduction of degree < 2w polynomials mod the field poly."""
         width = self.field.width
@@ -444,42 +417,6 @@ class NumpyBulkOps(BulkOps):
             mask = (product >> _np.uint64(degree)) & _np.uint64(1)
             product ^= _np.uint64(modulus << (degree - width)) * mask
         return product
-
-    # -------------------------------------------------------------- field ops
-
-    def mul_many(self, elements: Sequence[int], multiplier) -> list[int]:
-        self._require_field()
-        if not len(elements):
-            return []
-        np = self._arrays(len(elements) // LANES_PER_ROW)
-        if np is None:
-            return self._py.mul_many(elements, multiplier)
-        a = np.asarray(elements, dtype=np.uint64)
-        if isinstance(multiplier, int):
-            if multiplier == 0:
-                return [0] * len(elements)
-            return self._scale_array(a, multiplier).tolist()
-        if len(multiplier) != len(elements):
-            raise ValueError("mul_many got %d elements but %d multipliers"
-                             % (len(elements), len(multiplier)))
-        b = np.asarray(multiplier, dtype=np.uint64)
-        return self._mul_arrays(a, b).tolist()
-
-    def pow_range(self, base: int, count: int) -> list[int]:
-        # A single power chain is one row: the table-driven Python chain is
-        # the faster kernel for it.
-        return self._py.pow_range(base, count)
-
-    def pow_range_many(self, bases: Sequence[int], count: int) -> list[list[int]]:
-        self._require_field()
-        if count < 0:
-            raise ValueError("count must be non-negative, got %d" % count)
-        if count == 0 or not len(bases):
-            return [[] for _ in bases]
-        np = self._arrays(len(bases), count)
-        if np is None:
-            return self._py.pow_range_many(bases, count)
-        return self._pow_matrix(np, bases, count).tolist()
 
     def _pow_matrix(self, np: Any, bases: Sequence[int], count: int) -> Any:
         """The ``len(bases) x count`` uint64 matrix of powers (``count >= 1``).
@@ -500,44 +437,13 @@ class NumpyBulkOps(BulkOps):
 
     # --------------------------------------------------------------- xor ops
 
-    def xor_accumulate(self, target: list[int], rows: Iterable[Sequence[int]]) -> list[int]:
-        rows = list(rows)
-        if not rows:
-            return target
-        np = self._arrays(len(rows))
-        if np is None:
-            return self._py.xor_accumulate(target, rows)
-        length = len(target)
-        for row in rows:
-            if len(row) != length:
-                raise ValueError("xor_accumulate row of length %d does not match "
-                                 "target length %d" % (len(row), length))
-        stacked = np.asarray(rows, dtype=np.uint64)
-        combined = np.bitwise_xor.reduce(stacked, axis=0)
-        for index, value in enumerate(combined.tolist()):
-            target[index] ^= value
-        return target
-
-    def scatter_xor_rows(self, num_rows: int, row_len: int,
-                         indices: Sequence[int],
-                         rows: Sequence[Sequence[int]]) -> list[list[int]]:
-        np = self._arrays(len(indices), row_len)
-        if np is None:
-            return self._py.scatter_xor_rows(num_rows, row_len, indices, rows)
-        matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
-        if len(indices):
-            index_array = np.asarray(indices, dtype=np.intp)
-            row_array = np.asarray(rows, dtype=np.uint64)
-            np.bitwise_xor.at(matrix, index_array, row_array)
-        return matrix.tolist()
-
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
                     values: Sequence[int]) -> list[list[int]]:
         np = self._arrays(len(values) // LANES_PER_ROW)
         if np is None:
-            return self._py.scatter_xor(num_rows, row_len, row_indices,
-                                        col_indices, values)
+            return super().scatter_xor(num_rows, row_len, row_indices,
+                                       col_indices, values)
         matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
         if len(values):
             rows = np.asarray(row_indices, dtype=np.intp)
@@ -557,9 +463,9 @@ class NumpyBulkOps(BulkOps):
     def scatter_pow_rows(self, num_rows: int, count: int, bases: Sequence[int],
                          targets: Sequence[Sequence[int]]) -> Matrix:
         self._require_field()
-        np = self._arrays(len(bases), count)
+        np = self._arrays(len(bases))
         if np is None or count <= 0 or not len(bases):
-            return self._py.scatter_pow_rows(num_rows, count, bases, targets)
+            return super().scatter_pow_rows(num_rows, count, bases, targets)
         powers = self._pow_matrix(np, bases, count)
         return self.merge_rows(num_rows, count,
                                [(indices, powers) for indices in targets])
@@ -568,7 +474,7 @@ class NumpyBulkOps(BulkOps):
                    parts: Iterable[tuple[Sequence[int], Any]]) -> Matrix:
         parts = list(parts)
         if not any(_is_array(rows) for _, rows in parts):
-            return self._py.merge_rows(num_rows, row_len, parts)
+            return super().merge_rows(num_rows, row_len, parts)
         np = _numpy()
         matrix = np.zeros((num_rows, row_len), dtype=np.uint64)
         for indices, rows in parts:
@@ -584,13 +490,13 @@ class NumpyBulkOps(BulkOps):
 
     def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
         if not _is_array(matrix):
-            return self._py.matrix_row(matrix, index)
+            return super().matrix_row(matrix, index)
         return tuple(matrix[index].tolist())
 
     def subtree_xor(self, matrix: Matrix, order: Sequence[int],
                     last: Sequence[int]) -> list[tuple[int, ...]]:
         if not _is_array(matrix) or not len(order):
-            return self._py.subtree_xor(matrix, order, last)
+            return super().subtree_xor(matrix, order, last)
         # One prefix-XOR scan over the rows in preorder: with
         # prefix[i] = rows[0] ^ ... ^ rows[i-1], the run p .. last[p] that
         # holds a subtree sums to prefix[last[p] + 1] ^ prefix[p].

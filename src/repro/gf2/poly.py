@@ -194,8 +194,15 @@ class Gf2Poly:
         return result
 
     def square_mod(self, modulus: "Gf2Poly") -> "Gf2Poly":
-        """Compute ``self^2 mod modulus`` (used for Frobenius iteration)."""
-        return (self * self) % modulus
+        """Compute ``self^2 mod modulus`` (used for Frobenius iteration).
+
+        In characteristic two ``(sum a_i x^i)^2 = sum a_i^2 x^(2i)``: the
+        cross terms cancel in pairs, so squaring takes ``deg + 1`` products.
+        """
+        field = self.field
+        squared = [0] * (2 * len(self.coeffs))
+        squared[::2] = [field.mul(a, a) for a in self.coeffs]
+        return Gf2Poly(field, squared) % modulus
 
     def derivative(self) -> "Gf2Poly":
         """Formal derivative.  In characteristic two even-power terms vanish."""

@@ -14,8 +14,9 @@ import random
 
 import pytest
 
+from repro.coding import rs_decoder
 from repro.coding.berlekamp_massey import berlekamp_massey, berlekamp_massey_many
-from repro.coding.rootfind import chien_roots, find_roots, find_roots_bulk, find_roots_many
+from repro.coding.rootfind import chien_roots, find_roots, find_roots_many
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 from repro.coding.syndrome import SyndromeEncoder
 from repro.gf2.bulk import NumpyBulkOps, PyBulkOps, numpy_available
@@ -104,11 +105,10 @@ def test_root_finding_strategies_agree(field, bulk):
                                      for _ in range(rng.randrange(2, 6))]))
     polys = [poly for poly in polys if not poly.is_zero()]
     reference = [find_roots(poly) for poly in polys]
-    assert find_roots_many(polys, bulk) == reference
+    assert find_roots_many(polys) == reference
     for poly, expected in zip(polys, reference):
-        assert find_roots_bulk(poly, bulk) == expected
         # The exhaustive Chien sweep is O(order * degree); spot-check it on
-        # the small fields only (the dispatch guard keeps it off big ones).
+        # the small fields only.
         if poly.degree > 0 and field.order <= (1 << 12):
             assert chien_roots(poly, bulk) == expected
 
@@ -144,6 +144,40 @@ def test_decode_many_matches_scalar_decoder(field, bulk, adaptive):
             batched_decoder.decode_many(syndromes, adaptive=adaptive)
     else:
         assert batched_decoder.decode_many(syndromes, adaptive=adaptive) == entries
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_wrong_ladder_guesses_stop_before_root_finding(monkeypatch, batched):
+    """A round before the last whose locator does not generate the first
+    syndrome component the round has not seen moves on to the next budget
+    without root finding, on both paths: on supports within the threshold,
+    the one locator that reaches the root finder is the true one."""
+    field = GF2m(16)
+    threshold = 8
+    rng = random.Random(131)
+    encoder = SyndromeEncoder(field, threshold, bulk=PyBulkOps(field))
+    decoder = SparseRecoveryDecoder(field, threshold, bulk=PyBulkOps(field))
+    rooted = []
+
+    def record_many(polys):
+        rooted.extend(poly.degree for poly in polys)
+        return find_roots_many(polys)
+
+    def record_one(poly):
+        rooted.append(poly.degree)
+        return find_roots(poly)
+
+    monkeypatch.setattr(rs_decoder, "find_roots_many", record_many)
+    monkeypatch.setattr(rs_decoder, "find_roots", record_one)
+    for size in range(1, threshold + 1):
+        for _ in range(3):
+            support = rng.sample(range(1, field.order), size)
+            syndrome = encoder.syndrome_of(support)
+            rooted.clear()
+            decoded = decoder.decode_many([syndrome], adaptive=True)[0] if batched \
+                else decoder.decode_adaptive(syndrome)
+            assert decoded == sorted(support)
+            assert rooted == [size], (size, rooted)
 
 
 def test_decode_many_rejects_wrong_length():

@@ -17,8 +17,8 @@ import pytest
 
 from repro.api import Oracle
 from repro.gf2 import bulk as bulk_module
-from repro.gf2.bulk import (LANES_PER_ROW, LONG_CHAIN, NUMPY_MAX_WIDTH,
-                            SMALL_ROWS, BackendUnavailable, NumpyBulkOps, PyBulkOps,
+from repro.gf2.bulk import (LANES_PER_ROW, NUMPY_MAX_WIDTH, SMALL_ROWS,
+                            BackendUnavailable, NumpyBulkOps, PyBulkOps,
                             available_backends, get_bulk_ops, numpy_available)
 from repro.gf2.field import GF2m
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
@@ -89,20 +89,33 @@ def test_pow_range_is_consecutive_powers(width):
             assert backend.pow_range(base, 0) == []
 
 
+def _power_rows(backend, bases, count):
+    """``[x, ..., x^count]`` for every base, through the label build's
+    ``scatter_pow_rows`` (one matrix row per base) and read back as lists."""
+    matrix = backend.scatter_pow_rows(len(bases), count, bases,
+                                      [list(range(len(bases)))])
+    return [list(backend.matrix_row(matrix, index)) for index in range(len(bases))]
+
+
 @needs_numpy
 @pytest.mark.parametrize("width", [w for w in CHAIN_WIDTHS if w <= NUMPY_MAX_WIDTH])
 def test_pow_range_many_on_both_sides_of_the_row_crossover(width):
+    """Power rows agree on both sides of the build's ``SMALL_ROWS`` cutoff,
+    and with the doubling kernel forced; decode's ``pow_range_many`` is the
+    Python chain at every size."""
     field = GF2m(width)
     rng = random.Random(width + 3)
     bases = [0, 1, field.order - 1] + [rng.randrange(1, field.order)
                                        for _ in range(3 * SMALL_ROWS - 3)]
-    backend = NumpyBulkOps(field)
+    backend, forced = NumpyBulkOps(field), NumpyBulkOps(field, small_cutoff=0)
     for count in CHAIN_COUNTS:
         expected = [_repeated_mul(field, base, count) for base in bases]
-        # These chains reach the array kernels from 19 (904 powers) to 48 rows.
         for rows in (SMALL_ROWS - 1, SMALL_ROWS, len(bases)):
             assert backend.pow_range_many(bases[:rows], count) == expected[:rows], \
                 (rows, count)
+            for build in (backend, forced):
+                assert _power_rows(build, bases[:rows], count) == expected[:rows], \
+                    (build.small_cutoff, rows, count)
 
 
 #: (bases, powers) shapes: decode verification re-encodes 1-20 supports
@@ -124,6 +137,9 @@ def test_pow_range_many_matches_single(width):
         for backend in _backends(field):
             rows = backend.pow_range_many(bases, count)
             assert rows == expected, (backend.name, num_bases, count)
+            # The build's kernel: numpy's doubling passes, forced here.
+            assert _power_rows(backend, bases, count) == expected, \
+                (backend.name, num_bases, count)
     for backend in _backends(field):
         assert backend.pow_range_many(bases, 0) == [[] for _ in bases]
         assert backend.pow_range_many([], 5) == []
@@ -131,8 +147,16 @@ def test_pow_range_many_matches_single(width):
             backend.pow_range_many(bases, -1)
 
 
+#: (rows, powers) of the decode calls below: a verification's few support
+#: elements times 2k, up to 1,024 rows.
+DECODE_SHAPES = [(1, 904), (SMALL_ROWS, 904), (3 * SMALL_ROWS, 166), (1024, 16)]
+
+
 @needs_numpy
 def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
+    """Decode calls never ask for numpy, at any size; the label build's
+    calls reach the array kernels from ``small_cutoff`` rows, whatever the
+    chain length."""
     reached = []
 
     def no_numpy():
@@ -143,9 +167,8 @@ def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
     monkeypatch.setattr(bulk_module, "_numpy", no_numpy)
     field = GF2m(22)
     rng = random.Random(4)
-
-    def requests(backend, rows, powers=LONG_CHAIN):
-        reached.clear()
+    backend = NumpyBulkOps(field)
+    for rows, powers in DECODE_SHAPES:
         bases = [rng.randrange(1, field.order) for _ in range(rows)]
         matrix = backend.pow_range_many(bases, powers)
         assert matrix == PyBulkOps(field).pow_range_many(bases, powers)
@@ -153,18 +176,20 @@ def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
         backend.xor_accumulate([0] * powers, matrix)
         lanes = bases * LANES_PER_ROW
         backend.mul_many(lanes, lanes)
+        backend.mul_many(lanes, bases[0])
+        assert reached == [], (rows, powers)
+
+    def build_requests(backend, rows):
+        reached.clear()
+        bases = [rng.randrange(1, field.order) for _ in range(rows)]
+        backend.scatter_pow_rows(2, 16, bases, [[index % 2 for index in range(rows)]])
+        lanes = bases * LANES_PER_ROW
         backend.scatter_xor(2, 2, [0] * len(lanes), [1] * len(lanes), lanes)
         return len(reached)
 
-    assert requests(NumpyBulkOps(field), SMALL_ROWS - 1) == 0
-    assert requests(NumpyBulkOps(field), SMALL_ROWS) == 5
-    # Shorter chains need more rows, up to three times the cutoff; the
-    # calls that compute no chain (the last three) do not depend on it.
-    assert requests(NumpyBulkOps(field), 2 * SMALL_ROWS - 1, LONG_CHAIN // 2) == 3
-    assert requests(NumpyBulkOps(field), 2 * SMALL_ROWS, LONG_CHAIN // 2) == 5
-    assert requests(NumpyBulkOps(field), 3 * SMALL_ROWS - 1, 166) == 3
-    assert requests(NumpyBulkOps(field), 3 * SMALL_ROWS, 166) == 5
-    assert requests(NumpyBulkOps(field, small_cutoff=0), 1, 166) == 5
+    assert build_requests(NumpyBulkOps(field), SMALL_ROWS - 1) == 0
+    assert build_requests(NumpyBulkOps(field), SMALL_ROWS) == 2
+    assert build_requests(NumpyBulkOps(field, small_cutoff=0), 1) == 2
 
 
 def test_xor_accumulate_and_scatter_agree_across_backends():
@@ -407,8 +432,9 @@ def _child_env():
 
 def test_serving_loads_numpy_only_through_an_array_kernel(tmp_path):
     """Set-up of a serving process (``import repro.cli``, ``Oracle.load``)
-    leaves numpy unloaded, and a query loads it only by reaching an array
-    kernel, that is, by a call of at least ``small_cutoff`` rows."""
+    leaves numpy unloaded, and answering reaches no array kernel, so numpy
+    stays unloaded: decoding runs on the Python kernels under every
+    backend."""
     graph = make_graph(GraphFamily.ERDOS_RENYI, n=48, seed=7)
     oracle = Oracle.build(graph, max_faults=3)  # GF(2^16), k = 73
     path = tmp_path / "served.ftcs"
@@ -456,10 +482,12 @@ def test_serving_loads_numpy_only_through_an_array_kernel(tmp_path):
         expected = oracle.connected_many([tuple(pair) for pair in pairs],
                                          [tuple(fault) for fault in faults])
         assert served["answers"] == expected
-        assert served["array_kernel"] or not served["numpy"], served
+        assert not served["array_kernel"] and not served["numpy"], served
 
 
 def test_numpy_is_imported_by_the_first_call_past_the_crossover():
+    """Decode calls of up to 1,024 rows leave numpy unloaded; a level of the
+    label build loads it from ``SMALL_ROWS`` edges."""
     pytest.importorskip("numpy")
     script = textwrap.dedent("""
         import sys
@@ -470,13 +498,25 @@ def test_numpy_is_imported_by_the_first_call_past_the_crossover():
         assert "numpy" not in sys.modules, "importing repro.gf2 loaded numpy"
         field = GF2m(16)
         backend = NumpyBulkOps(field)
-        # Chains of 146 powers reach the array kernels from 3 * SMALL_ROWS rows.
-        bases = list(range(1, 3 * SMALL_ROWS + 1))
-        expected = PyBulkOps(field).pow_range_many(bases, 146)
-        assert backend.pow_range_many(bases[:-1], 146) == expected[:-1]
-        assert "numpy" not in sys.modules, "a call below the crossover loaded numpy"
-        assert backend.pow_range_many(bases, 146) == expected
-        assert "numpy" in sys.modules, "a call at the crossover ran without numpy"
+        python = PyBulkOps(field)
+        bases = list(range(1, 1025))
+        rows = backend.pow_range_many(bases, 16)
+        assert rows == python.pow_range_many(bases, 16)
+        backend.scatter_xor_rows(4, 16, [base % 4 for base in bases], rows)
+        backend.xor_accumulate([0] * 16, rows)
+        backend.mul_many(bases, bases)
+        assert "numpy" not in sys.modules, "a decode call loaded numpy"
+
+        def level(edges):
+            matrix = backend.scatter_pow_rows(edges, 146, bases[:edges],
+                                              [list(range(edges))])
+            return [list(backend.matrix_row(matrix, row)) for row in range(edges)]
+
+        expected = python.pow_range_many(bases[:SMALL_ROWS], 146)
+        assert level(SMALL_ROWS - 1) == expected[:-1]
+        assert "numpy" not in sys.modules, "a level below the cutoff loaded numpy"
+        assert level(SMALL_ROWS) == expected
+        assert "numpy" in sys.modules, "a level at the cutoff ran without numpy"
     """)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=_child_env(), timeout=120)

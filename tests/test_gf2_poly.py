@@ -1,5 +1,7 @@
 """Tests for polynomial arithmetic over GF(2^w)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +88,27 @@ def test_pow_mod(field):
     for _ in range(9):
         direct = (direct * base) % modulus
     assert base.pow_mod(10, modulus) == direct
+
+
+@pytest.mark.parametrize("width", [8, 13, 16, 22])
+def test_square_mod_matches_the_generic_product(width):
+    """Coefficient-wise squaring equals ``(p * p) % m`` on the log-table
+    widths (8) and the ``FixedMultiplier`` ones (13, 16, 22)."""
+    wide = GF2m(width)
+    rng = random.Random(width)
+
+    def random_poly(degree):
+        if degree < 0:
+            return Gf2Poly.zero(wide)
+        return Gf2Poly(wide, [rng.randrange(wide.order) for _ in range(degree)]
+                       + [rng.randrange(1, wide.order)])
+
+    for degree in range(-1, 13):
+        poly = random_poly(degree)
+        for modulus_degree in range(1, 13):
+            modulus = random_poly(modulus_degree)
+            assert poly.square_mod(modulus) == (poly * poly) % modulus, \
+                (degree, modulus_degree)
 
 
 def test_derivative_characteristic_two(field):

@@ -50,16 +50,18 @@ def _run_child(script: str, job: dict) -> dict:
 
 
 def test_serving_process_imports_only_the_query_side(tmp_path):
-    """What ``repro serve`` runs before its readiness line, and a query
-    after it, load no construction-side module, and the answers are the
-    ``build:`` oracle's."""
-    graph = make_graph(GraphFamily.ERDOS_RENYI, n=40, seed=5)
-    built = open_oracle("build:", graph=graph, max_faults=3)
+    """What ``repro serve`` runs before its readiness line, and queries
+    after it, load no construction-side module and no numpy, and the
+    answers are the ``build:`` oracle's."""
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=48, seed=7)
+    built = open_oracle("build:", graph=graph, max_faults=3)  # GF(2^16), k = 73
     path = tmp_path / "served.ftcs"
     built.save(str(path))
-    rng = random.Random(5)
-    faults = rng.sample(sorted(graph.edges()), 3)
-    pairs = [rng.sample(sorted(graph.vertices()), 2) for _ in range(30)]
+    rng = random.Random(7)
+    edges = sorted(graph.edges())
+    vertices = sorted(graph.vertices())
+    queries = [(rng.sample(edges, 3), [rng.sample(vertices, 2) for _ in range(12)])
+               for _ in range(6)]
     report = _run_child("""
         import json
         import sys
@@ -73,16 +75,21 @@ def test_serving_process_imports_only_the_query_side(tmp_path):
         import repro.server.server
 
         ready = sorted(sys.modules)
-        answers = oracle.connected_many([tuple(pair) for pair in job["pairs"]],
-                                        [tuple(fault) for fault in job["faults"]])
+        answers = [oracle.connected_many([tuple(pair) for pair in pairs],
+                                         [tuple(fault) for fault in faults])
+                   for faults, pairs in job["queries"]]
         print(json.dumps({"ready": ready, "answered": sorted(sys.modules),
                           "answers": answers}))
-    """, {"path": str(path), "faults": faults, "pairs": pairs})
+    """, {"path": str(path), "queries": queries})
 
     assert _build_side(report["ready"]) == []
     assert _build_side(report["answered"]) == []
-    assert report["answers"] == built.connected_many(
-        [tuple(pair) for pair in pairs], [tuple(fault) for fault in faults])
+    assert "numpy" not in report["ready"]
+    assert "numpy" not in report["answered"]
+    assert report["answers"] == [
+        built.connected_many([tuple(pair) for pair in pairs],
+                             [tuple(fault) for fault in faults])
+        for faults, pairs in queries]
 
 
 def test_lazy_package_exports_resolve_to_their_modules():
@@ -109,3 +116,41 @@ def test_lazy_package_exports_resolve_to_their_modules():
         print(json.dumps({"problems": problems}))
     """, list(LAZY_PACKAGES))
     assert report["problems"] == []
+
+
+def test_lazy_exports_follow_aliased_and_relative_imports(tmp_path, monkeypatch):
+    """``from M import X as Y`` exports M's X under Y, and ``from . import
+    X`` and ``from .M import X`` resolve against the package."""
+    package = tmp_path / "lazyprobe"
+    package.mkdir()
+    (package / "__init__.py").write_text(textwrap.dedent("""
+        from typing import TYPE_CHECKING
+
+        from repro._lazy import lazy_exports
+
+        if TYPE_CHECKING:
+            from lazyprobe.values import original as renamed
+            from lazyprobe.values import shadow
+            from . import helpers
+            from . import helpers as helpers_alias
+            from .values import original
+
+        __getattr__ = lazy_exports(__name__)
+    """))
+    (package / "values.py").write_text(
+        "original = 'original'\nshadow = 'shadow'\nrenamed = 'not the export'\n")
+    (package / "helpers.py").write_text("marker = 'helpers'\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for name in ("lazyprobe", "lazyprobe.values", "lazyprobe.helpers"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        import lazyprobe
+
+        assert lazyprobe.renamed == "original"
+        assert lazyprobe.shadow == "shadow"
+        assert lazyprobe.original == "original"
+        assert lazyprobe.helpers.marker == "helpers"
+        assert lazyprobe.helpers_alias is lazyprobe.helpers
+    finally:
+        for name in ("lazyprobe", "lazyprobe.values", "lazyprobe.helpers"):
+            sys.modules.pop(name, None)
