@@ -1,10 +1,13 @@
 """The bulk/scalar parity registry: every scalar decode op and its bulk twin.
 
-PR 6 made the whole decode/query hot path bulk-first: every scalar primitive
-(``syndrome_of``, ``berlekamp_massey``, ``find_roots``, ``decode``...) grew a
-``*_many`` counterpart that must return, element for element, exactly what the
-scalar reference computes.  That discipline only survives if it is *declared*
-somewhere machine-readable — this table — and consumed from both sides:
+Every scalar primitive of the decode/query path (``syndrome_of``,
+``berlekamp_massey``, ``find_roots``, ``decode``...) has a ``*_many``
+counterpart that returns, element for element, what the scalar one computes.
+Each pair keeps one body: ``berlekamp_massey_many`` and ``find_roots_many``
+loop over their scalar twins, and ``syndrome_of`` and the ``decode`` methods
+are one-element batches of their ``*_many`` twins.  The pairing only survives
+if it is *declared* somewhere machine-readable — this table — and consumed
+from both sides:
 
 * The linter's RPL005 rule checks the table against the AST of
   ``repro.coding`` / ``repro.outdetect``: a public ``*_many`` definition that
@@ -15,8 +18,8 @@ somewhere machine-readable — this table — and consumed from both sides:
   fails the tier-1 suite.
 
 Adding a new bulk primitive therefore takes three steps, and forgetting any
-one of them fails CI: implement ``X`` and ``X_many`` bit-identically,
-register the pair here, and extend the bit-identity tests to drive it.
+one of them fails CI: implement ``X`` and ``X_many``, one as a call into the
+other, register the pair here, and extend the conformance tests to drive it.
 
 The naming convention the discovery side of RPL005 enforces: bulk twins are
 named ``<scalar>_many`` (extra aliases may be registered on top, but do not

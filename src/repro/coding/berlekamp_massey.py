@@ -10,21 +10,14 @@ error-locator polynomial
 Its reciprocal roots are exactly the support elements; they are extracted by
 the deterministic root finder in :mod:`repro.coding.rootfind`.
 
-Two entry points: :func:`berlekamp_massey` runs one sequence (the scalar
-reference), and :func:`berlekamp_massey_many` advances the *same* algorithm
-across many sequences in lockstep, so the field multiplications of one step —
-the discrepancy dot products and the connection-polynomial updates — across
-all sequences become single :meth:`~repro.gf2.bulk.BulkOps.mul_many` calls.
-Because XOR reassociation and the backends' element-wise products are exact,
-the batched variant is bit-identical to running the scalar one per sequence
-(hard-asserted by the conformance tests).
+:func:`berlekamp_massey` runs one sequence; :func:`berlekamp_massey_many`,
+which a decode round calls on its syndrome prefixes, runs it on each.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.gf2.bulk import BulkOps, get_bulk_ops
 from repro.gf2.field import GF2m
 from repro.gf2.poly import Gf2Poly
 
@@ -94,86 +87,7 @@ def _update(field: GF2m, current: list[int], previous: list[int],
     return updated
 
 
-def berlekamp_massey_many(field: GF2m, sequences: Sequence[Sequence[int]],
-                          bulk: BulkOps | None = None) -> list[Gf2Poly]:
-    """Run Berlekamp--Massey over many syndrome sequences in lockstep.
-
-    All sequences advance through step ``j`` together: the per-sequence
-    discrepancy terms ``c_i * s_{j-i}`` are gathered into one element-wise
-    :meth:`~repro.gf2.bulk.BulkOps.mul_many`, and so are the
-    connection-polynomial update products ``(d/d_prev) * p_i``.  Per-sequence
-    control flow (LFSR lengthening, shift bookkeeping) is untouched, so the
-    returned polynomials equal ``[berlekamp_massey(field, s) for s in
-    sequences]`` bit for bit.
-
-    Sequences may have different lengths; shorter ones simply stop advancing.
-    """
-    sequences = [list(sequence) for sequence in sequences]
-    if not sequences:
-        return []
-    if bulk is None:
-        bulk = get_bulk_ops(field)
-    count = len(sequences)
-    current: list[list[int]] = [[1] for _ in range(count)]
-    previous: list[list[int]] = [[1] for _ in range(count)]
-    length = [0] * count
-    shift = [1] * count
-    previous_discrepancy = [1] * count
-
-    for index in range(max(len(sequence) for sequence in sequences)):
-        # Batched discrepancies: one flat element-wise product for the
-        # c_i * s_{index-i} terms of every still-active sequence.
-        factors_a: list[int] = []
-        factors_b: list[int] = []
-        owners: list[int] = []
-        discrepancy = [0] * count
-        for j, sequence in enumerate(sequences):
-            if index >= len(sequence):
-                continue
-            discrepancy[j] = sequence[index]
-            coefficients = current[j]
-            for i in range(1, length[j] + 1):
-                if i < len(coefficients) and coefficients[i] != 0 and index - i >= 0:
-                    factors_a.append(coefficients[i])
-                    factors_b.append(sequence[index - i])
-                    owners.append(j)
-        if factors_a:
-            for j, product in zip(owners, bulk.mul_many(factors_a, factors_b)):
-                discrepancy[j] ^= product
-        # Batched updates: the factor * p_i products of every sequence whose
-        # discrepancy is non-zero, scattered back into the padded polynomials.
-        update_a: list[int] = []
-        update_b: list[int] = []
-        update_position: list[int] = []
-        update_owner: list[int] = []
-        for j, sequence in enumerate(sequences):
-            if index >= len(sequence):
-                continue
-            if discrepancy[j] == 0:
-                shift[j] += 1
-                continue
-            factor = field.mul(discrepancy[j], field.inv(previous_discrepancy[j]))
-            old_previous = previous[j]
-            size = max(len(current[j]), len(old_previous) + shift[j])
-            updated = list(current[j]) + [0] * (size - len(current[j]))
-            for i, coefficient in enumerate(old_previous):
-                if coefficient == 0:
-                    continue
-                update_a.append(factor)
-                update_b.append(coefficient)
-                update_position.append(i + shift[j])
-                update_owner.append(j)
-            if 2 * length[j] <= index:
-                previous[j] = list(current[j])
-                previous_discrepancy[j] = discrepancy[j]
-                length[j] = index + 1 - length[j]
-                shift[j] = 1
-            else:
-                shift[j] += 1
-            current[j] = updated
-        if update_a:
-            for j, position, product in zip(update_owner, update_position,
-                                            bulk.mul_many(update_a, update_b)):
-                current[j][position] ^= product
-
-    return [Gf2Poly(field, coefficients) for coefficients in current]
+def berlekamp_massey_many(field: GF2m, sequences: Sequence[Sequence[int]]) -> list[Gf2Poly]:
+    """Connection polynomials of many syndrome sequences (one decode round's
+    prefixes), one :func:`berlekamp_massey` run each."""
+    return [berlekamp_massey(field, sequence) for sequence in sequences]

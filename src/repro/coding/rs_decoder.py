@@ -21,23 +21,19 @@ its locator also generates the first syndrome component the round has not
 seen; a locator that does not cannot lead to a success, so the syndrome moves
 on to the next budget without root finding.
 
-Batched decoding: :meth:`SparseRecoveryDecoder.decode_many_deferred` runs the
-same pipeline over many syndromes at once, advancing every stage — prefix BM,
-root finding, re-encode verification — across the whole batch so one batch is
-a handful of :class:`~repro.gf2.bulk.BulkOps` calls instead of one scalar
-pipeline per syndrome.  Per-syndrome control flow (the adaptive budget ladder,
-every failure check and its message) is preserved exactly, so each entry of
-the result is bit-identical to what the scalar :meth:`decode` /
-:meth:`decode_adaptive` would produce for that syndrome, including which
-:class:`DecodeFailure` it would raise.
+One path: :meth:`SparseRecoveryDecoder.decode_many_deferred` climbs the
+ladder for a whole batch of syndromes, each round taking every pending
+syndrome through prefix BM, root finding and re-encode verification together.
+:meth:`~SparseRecoveryDecoder.decode` and
+:meth:`~SparseRecoveryDecoder.decode_adaptive` decode a batch of one.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.coding.berlekamp_massey import berlekamp_massey, berlekamp_massey_many
-from repro.coding.rootfind import find_roots, find_roots_many
+from repro.coding.berlekamp_massey import berlekamp_massey_many
+from repro.coding.rootfind import find_roots_many
 from repro.coding.syndrome import SyndromeEncoder
 from repro.gf2.bulk import BulkOps, get_bulk_ops
 from repro.gf2.field import GF2m
@@ -68,7 +64,7 @@ class SparseRecoveryDecoder:
         support is empty (the paper's "formal zero").  Raises
         :class:`DecodeFailure` when the syndrome is detectably inconsistent.
         """
-        return self._decode_with_budget(syndrome, self.threshold)
+        return self.decode_many([syndrome])[0]
 
     def decode_adaptive(self, syndrome: Sequence[int]) -> list[int]:
         """Adaptive decoding: geometrically growing prefixes (Appendix B).
@@ -78,30 +74,14 @@ class SparseRecoveryDecoder:
         against the *full* syndrome, so a successful adaptive decode is as
         trustworthy as a full decode.
         """
-        if all(component == 0 for component in syndrome):
-            return []
-        budget = 1
-        last_error: DecodeFailure | None = None
-        while budget <= self.threshold:
-            try:
-                return self._decode_with_budget(syndrome, budget)
-            except DecodeFailure as error:
-                last_error = error
-                if budget == self.threshold:
-                    break
-                budget = min(budget * 2, self.threshold)
-        raise last_error if last_error is not None else DecodeFailure("undecodable syndrome")
+        return self.decode_many([syndrome], adaptive=True)[0]
 
     # ---------------------------------------------------------------- batched
 
     def decode_many(self, syndromes: Sequence[Sequence[int]],
                     adaptive: bool = False) -> list[list[int]]:
-        """Decode many syndromes at once; raises on the first failed entry.
-
-        Equivalent to ``[self.decode(s) for s in syndromes]`` (or the adaptive
-        variant), but the whole batch advances through each pipeline stage
-        together so the field arithmetic lands in bulk backend calls.
-        """
+        """Decode many syndromes at once; raises the first failed entry's
+        :class:`DecodeFailure`."""
         results = self.decode_many_deferred(syndromes, adaptive=adaptive)
         for entry in results:
             if isinstance(entry, DecodeFailure):
@@ -114,11 +94,12 @@ class SparseRecoveryDecoder:
         """Decode many syndromes, returning failures instead of raising them.
 
         Each result entry is either the sorted support (``list[int]``) or the
-        :class:`DecodeFailure` the scalar decoder would have raised for that
-        syndrome.  Deferred failures let callers that decode lazily — the
-        merge forest in :class:`repro.core.batch.BatchQuerySession` only
-        surfaces a failure when the failing component is actually *used* —
-        keep their failure semantics while still decoding eagerly in bulk.
+        :class:`DecodeFailure` of the syndrome's final round.  Raises
+        ``ValueError`` when a syndrome does not have ``2k`` components.
+        Deferred failures let callers that decode lazily — the merge forest
+        in :class:`repro.core.batch.BatchQuerySession` only surfaces a
+        failure when the failing component is actually *used* — keep their
+        failure semantics while still decoding eagerly in bulk.
         """
         syndromes = [list(syndrome) for syndrome in syndromes]
         expected = 2 * self.threshold
@@ -169,7 +150,7 @@ class SparseRecoveryDecoder:
                 retry.append(index)
 
         prefixes = [syndromes[index][:2 * budget] for index in pending]
-        locators = berlekamp_massey_many(self.field, prefixes, self.bulk)
+        locators = berlekamp_massey_many(self.field, prefixes)
         rooted: list[int] = []
         rooted_locators = []
         for index, locator in zip(pending, locators):
@@ -198,8 +179,8 @@ class SparseRecoveryDecoder:
             candidates.append(index)
             supports.append(support)
         if candidates:
-            # Verification is always against the full syndrome, exactly like
-            # the scalar path, batched into one syndrome_of_many call.
+            # Verification is always against the full syndrome, batched into
+            # one syndrome_of_many call.
             recomputed = self._encoder.syndrome_of_many(supports)
             for index, support, verification in zip(candidates, supports, recomputed):
                 if syndromes[index] != verification:
@@ -209,29 +190,6 @@ class SparseRecoveryDecoder:
         return retry
 
     # ---------------------------------------------------------------- helpers
-
-    def _decode_with_budget(self, syndrome: Sequence[int], budget: int) -> list[int]:
-        if len(syndrome) != 2 * self.threshold:
-            raise ValueError("syndrome has %d components, expected %d"
-                             % (len(syndrome), 2 * self.threshold))
-        if all(component == 0 for component in syndrome):
-            return []
-        prefix = list(syndrome[:2 * budget])
-        locator = berlekamp_massey(self.field, prefix)
-        degree = locator.degree
-        if degree <= 0 or degree > budget:
-            raise DecodeFailure("locator degree %d outside (0, %d]" % (degree, budget))
-        if budget < self.threshold and self._unseen_discrepancy(syndrome, locator, budget):
-            raise DecodeFailure("locator does not generate syndrome component %d"
-                                % (2 * budget + 1))
-        roots = find_roots(locator)
-        if len(roots) != degree or any(root == 0 for root in roots):
-            raise DecodeFailure("locator of degree %d has %d usable roots" % (degree, len(roots)))
-        support = sorted(self.field.inv(root) for root in roots)
-        if len(set(support)) != len(support):
-            raise DecodeFailure("recovered support contains duplicates")
-        self._verify(syndrome, support)
-        return support
 
     def _unseen_discrepancy(self, syndrome: Sequence[int], locator: Gf2Poly,
                             budget: int) -> int:
@@ -252,9 +210,3 @@ class SparseRecoveryDecoder:
             if coefficient:
                 discrepancy ^= self.field.mul(coefficient, syndrome[position - offset])
         return discrepancy
-
-    def _verify(self, syndrome: Sequence[int], support: Sequence[int]) -> None:
-        """Re-encode the recovered support and compare against the syndrome."""
-        recomputed = self._encoder.syndrome_of(support)
-        if list(syndrome) != recomputed:
-            raise DecodeFailure("recovered support does not reproduce the syndrome")

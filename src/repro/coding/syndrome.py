@@ -110,21 +110,15 @@ class SyndromeEncoder:
 
     def syndrome_of(self, elements: Iterable[int]) -> list[int]:
         """The syndrome (power sums) of an explicit support set."""
-        total = self.zero()
-        support = list(elements)
-        if support:
-            self.bulk.xor_accumulate(total, self.encode_many(support))
-        return total
+        return self.syndrome_of_many([list(elements)])[0]
 
     def syndrome_of_many(self, supports: Sequence[Sequence[int]]) -> list[list[int]]:
         """The syndromes of many support sets, computed in two bulk calls.
 
         All elements of all supports are encoded by one ``pow_range_many``
         and the rows are XOR-scattered back into one syndrome per support
-        (``scatter_xor_rows``), so the cost of verifying every component of a
-        batched decode is two backend calls instead of one scalar
-        :meth:`syndrome_of` per component.  Bit-identical to calling
-        :meth:`syndrome_of` on each support.
+        (``scatter_xor_rows``), so verifying every support a decode round
+        recovers takes two backend calls.
         """
         flat: list[int] = []
         owners: list[int] = []

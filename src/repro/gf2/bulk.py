@@ -26,13 +26,15 @@ bit-identical — the cross-check tests and ``bench_batch_queries.py`` assert
 this.  Backend selection can be forced with the ``REPRO_GF2_BACKEND``
 environment variable (``auto`` / ``python`` / ``numpy``).
 
-Decoding needs only scalar field arithmetic on a few rows at a time, so every
-decode-side method (``mul_many``, ``pow_range``, ``pow_range_many``,
-``xor_accumulate``, ``scatter_xor_rows``) runs on the Python kernels under
-either backend: :class:`NumpyBulkOps` is a :class:`PyBulkOps` that overrides
-only the label-build kernels, so ``REPRO_GF2_BACKEND`` picks the build
-backend.  numpy is imported on the first call that reaches an array kernel,
-not with this module: whether it is installed is learnt from
+Decoding needs only scalar field arithmetic on a few rows at a time.  The
+decode side calls ``xor_accumulate`` to combine labels and ``pow_range_many``
+and ``scatter_xor_rows`` to re-encode recovered supports (Berlekamp--Massey
+and root finding multiply through :class:`~repro.gf2.field.GF2m` itself), and
+those methods, like ``mul_many`` and ``pow_range``, run on the Python kernels
+under either backend: :class:`NumpyBulkOps` is a :class:`PyBulkOps` that
+overrides only the label-build kernels, so ``REPRO_GF2_BACKEND`` picks the
+build backend.  numpy is imported on the first call that reaches an array
+kernel, not with this module: whether it is installed is learnt from
 :func:`importlib.util.find_spec`.  A level of the label build, every edge
 times 2k, is one uint64 *label matrix* from its power rows through the shard
 merge to its subtree sums (``scatter_pow_rows``, ``merge_rows``,

@@ -77,9 +77,10 @@ class OutdetectScheme(ABC):
         list or the :class:`OutdetectDecodeError` that :meth:`decode` would
         have raised for that label — callers that decode lazily (the batch
         session's merge forest) surface a deferred error only when the failing
-        label is actually consumed.  The base implementation just loops; bulk
-        schemes override it to advance the whole batch through each decode
-        stage together, with bit-identical per-label results.
+        label is actually consumed.  The base implementation loops over
+        :meth:`decode`.  The Reed--Solomon and layered schemes override it
+        with their one decode body, and their :meth:`decode` decodes a batch
+        of one (:func:`raise_deferred`).
         """
         results = []
         for label in labels:
@@ -106,6 +107,15 @@ class OutdetectScheme(ABC):
         """Maximum label size over a collection of vertices."""
         sizes = [self.label_bit_size(self.label_of(vertex)) for vertex in vertices]
         return max(sizes) if sizes else 0
+
+
+def raise_deferred(entry: list[int] | OutdetectDecodeError) -> list[int]:
+    """One :meth:`OutdetectScheme.decode_many` entry as
+    :meth:`~OutdetectScheme.decode` gives it: the identifiers, or the
+    deferred error raised."""
+    if isinstance(entry, OutdetectDecodeError):
+        raise entry
+    return entry
 
 
 class MatrixLabels:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.outdetect.base import OutdetectDecodeError, OutdetectScheme
+from repro.outdetect.base import OutdetectDecodeError, OutdetectScheme, raise_deferred
 
 Vertex = Hashable
 Label = tuple
@@ -53,24 +53,7 @@ class LayeredOutdetect(OutdetectScheme):
             [label[index] for label in labels]) for index in range(depth))
 
     def decode(self, label: Label) -> list[int]:
-        deepest_nonzero = None
-        for index in range(len(self.level_schemes) - 1, -1, -1):
-            if label[index] != self.level_schemes[index].zero_label():
-                deepest_nonzero = index
-                break
-        if deepest_nonzero is None:
-            return []
-        try:
-            edges = self.level_schemes[deepest_nonzero].decode(label[deepest_nonzero])
-        except OutdetectDecodeError as error:
-            raise OutdetectDecodeError(
-                "level %d of the layered outdetect failed to decode: %s"
-                % (deepest_nonzero, error)) from error
-        if not edges:
-            raise OutdetectDecodeError(
-                "level %d has a non-zero syndrome but decoded to the empty set"
-                % deepest_nonzero)
-        return edges
+        return raise_deferred(self.decode_many([label])[0])
 
     def decode_many(self, labels) -> list:
         """Batched decode: group labels by deepest non-zero level.
@@ -78,10 +61,9 @@ class LayeredOutdetect(OutdetectScheme):
         Every label routes to exactly one level (the deepest with a non-zero
         syndrome), so the batch splits into at most ``depth`` per-level groups
         and each group decodes through that level scheme's ``decode_many`` —
-        one bulk pipeline per *touched level* rather than one scalar decode
-        per label.  Entries are results or deferred
-        :class:`OutdetectDecodeError` instances, exactly matching what
-        :meth:`decode` returns or raises per label.
+        one pipeline per *touched level* rather than one decode per label.
+        Entries are results or deferred :class:`OutdetectDecodeError`
+        instances.
         """
         labels = list(labels)
         results: list = [None] * len(labels)

@@ -17,7 +17,8 @@ from repro.coding.syndrome import SyndromeEncoder
 from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops
 from repro.gf2.field import GF2m
 from repro.graphs.graph import Edge, canonical_edge
-from repro.outdetect.base import MatrixLabels, OutdetectDecodeError, OutdetectScheme
+from repro.outdetect.base import (MatrixLabels, OutdetectDecodeError, OutdetectScheme,
+                                  raise_deferred)
 
 Vertex = Hashable
 Label = tuple
@@ -149,12 +150,7 @@ class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
         return tuple(total)
 
     def decode(self, label: Label) -> list[int]:
-        try:
-            if self.adaptive:
-                return self._decoder.decode_adaptive(list(label))
-            return self._decoder.decode(list(label))
-        except DecodeFailure as error:
-            raise OutdetectDecodeError(str(error)) from error
+        return raise_deferred(self.decode_many([label])[0])
 
     def decode_many(self, labels) -> list:
         entries = self._decoder.decode_many_deferred(

@@ -1,21 +1,24 @@
 """Conformance tests for the batched decode primitives.
 
-The whole point of the vectorized decode path is that it is a pure speed knob:
-every batched primitive must return, element for element, exactly what the
-scalar reference computes — across all :class:`~repro.gf2.bulk.BulkOps`
-backends and field widths, on random inputs, including which failure each
-entry would raise.  These assertions are hard (never advisory): the batch
-session and the outdetect schemes route all decoding through these functions.
+Each scalar/batched pair of the decode pipeline keeps one body, and the other
+member calls into it, so comparing the two members would pass by
+construction.  These tests check each primitive against independent truth
+instead — power sums from field arithmetic, the locator prod(1 - x z) and the
+roots of a known support, the support a syndrome came from — across
+:class:`~repro.gf2.bulk.BulkOps` backends and field widths, including which
+failure each undecodable entry raises.  The batch session and the outdetect
+schemes route all decoding through these functions.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from repro.coding import rs_decoder
-from repro.coding.berlekamp_massey import berlekamp_massey, berlekamp_massey_many
+from repro.coding.berlekamp_massey import berlekamp_massey_many
 from repro.coding.rootfind import chien_roots, find_roots, find_roots_many
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 from repro.coding.syndrome import SyndromeEncoder
@@ -25,6 +28,13 @@ from repro.gf2.poly import Gf2Poly
 
 WIDTHS = [8, 12, 16]
 THRESHOLD = 5
+
+#: The failures a syndrome's final decode round can end in.
+FINAL_ROUND_FAILURES = [re.compile(pattern) for pattern in (
+    r"locator degree \d+ outside \(0, %d\]" % THRESHOLD,
+    r"locator of degree \d+ has \d+ usable roots",
+    r"recovered support contains duplicates",
+    r"recovered support does not reproduce the syndrome")]
 
 
 def _backends(field):
@@ -55,38 +65,57 @@ def _random_supports(field, rng, count, max_size):
             for _ in range(count)]
 
 
+def _locator(field, support):
+    """The locator prod(1 - x z) over ``support``, whose roots are the
+    inverses of the support."""
+    poly = Gf2Poly.one(field)
+    for element in support:
+        poly = poly * Gf2Poly(field, [1, element])
+    return poly
+
+
+def _power_sums(field, support, length):
+    """``s_j = sum of x^j`` over ``support`` for ``j = 1..length``, one
+    ``field.pow`` per term."""
+    sums = [0] * length
+    for element in support:
+        for exponent in range(1, length + 1):
+            sums[exponent - 1] ^= field.pow(element, exponent)
+    return sums
+
+
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
 def test_syndrome_of_many_matches_scalar(field, bulk):
+    """Every syndrome equals the power sums of its support by scalar field
+    arithmetic."""
     rng = random.Random(field.width * 101 + len(bulk.name))
     encoder = SyndromeEncoder(field, THRESHOLD, bulk=bulk)
     supports = _random_supports(field, rng, 40, 2 * THRESHOLD)
     supports.append([])  # the empty support must round-trip to the zero syndrome
     batched = encoder.syndrome_of_many(supports)
-    assert batched == [encoder.syndrome_of(support) for support in supports]
+    assert batched == [_power_sums(field, support, 2 * THRESHOLD)
+                       for support in supports]
+    assert batched[-1] == encoder.zero()
     assert encoder.syndrome_of_many([]) == []
 
 
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
 def test_berlekamp_massey_many_matches_scalar(field, bulk):
+    """A syndrome prefix of at least 2t components of a t-element support
+    has the locator prod(1 - x z) over the support; prefixes of mixed
+    lengths share one batch."""
     rng = random.Random(field.width * 103 + len(bulk.name))
-    sequences = [[rng.randrange(field.order) for _ in range(rng.randrange(0, 14))]
-                 for _ in range(40)]
-    sequences.append([])  # the empty sequence has the constant-1 locator
-    batched = berlekamp_massey_many(field, sequences, bulk)
-    for sequence, poly in zip(sequences, batched):
-        assert poly.coeffs == berlekamp_massey(field, sequence).coeffs
-    assert berlekamp_massey_many(field, [], bulk) == []
-
-
-@pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
-def test_mixed_length_sequences_match_scalar(field, bulk):
-    """Shorter sequences must stop advancing exactly where the scalar run does."""
-    rng = random.Random(field.width * 107)
-    sequences = [[rng.randrange(field.order) for _ in range(length)]
-                 for length in (1, 3, 10, 2, 7, 10, 4)]
-    batched = berlekamp_massey_many(field, sequences, bulk)
-    for sequence, poly in zip(sequences, batched):
-        assert poly.coeffs == berlekamp_massey(field, sequence).coeffs
+    encoder = SyndromeEncoder(field, THRESHOLD, bulk=bulk)
+    supports = _random_supports(field, rng, 40, THRESHOLD)
+    sequences = [syndrome[:rng.randrange(2 * len(support), 2 * THRESHOLD + 1)]
+                 for support, syndrome in zip(supports,
+                                              encoder.syndrome_of_many(supports))]
+    assert len({len(sequence) for sequence in sequences}) > 1
+    supports.append([])  # the empty sequence has the constant-1 locator
+    sequences.append([])
+    for support, locator in zip(supports, berlekamp_massey_many(field, sequences)):
+        assert locator.coeffs == _locator(field, support).coeffs, support
+    assert berlekamp_massey_many(field, []) == []
 
 
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
@@ -97,9 +126,8 @@ def test_root_finding_strategies_agree(field, bulk):
         # Products of random linear factors (all roots in the field) plus
         # random dense polynomials (roots mostly outside the field).
         support = rng.sample(range(1, field.order), rng.randrange(1, 6))
-        poly = Gf2Poly.one(field)
-        for element in support:
-            poly = poly * Gf2Poly(field, [1, element])
+        poly = _locator(field, support)
+        assert find_roots(poly) == sorted(field.inv(element) for element in support)
         polys.append(poly)
         polys.append(Gf2Poly(field, [rng.randrange(field.order)
                                      for _ in range(rng.randrange(2, 6))]))
@@ -116,42 +144,52 @@ def test_root_finding_strategies_agree(field, bulk):
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_decode_many_matches_scalar_decoder(field, bulk, adaptive):
-    """Per-entry results AND failure messages equal the scalar decoder's."""
+    """A support within the threshold decodes to itself, and any other
+    success has at most k elements and reproduces its syndrome.  A failure
+    is one of the final round's, and the scalar entry point raises it too."""
     rng = random.Random(field.width * 113 + adaptive)
     encoder = SyndromeEncoder(field, THRESHOLD, bulk=bulk)
-    batched_decoder = SparseRecoveryDecoder(field, THRESHOLD, bulk=bulk)
-    scalar_decoder = SparseRecoveryDecoder(field, THRESHOLD)
-    # Supports beyond the threshold make some syndromes undecodable, which
-    # must surface as the same DecodeFailure message the scalar path raises.
+    decoder = SparseRecoveryDecoder(field, THRESHOLD, bulk=bulk)
+    scalar = decoder.decode_adaptive if adaptive else decoder.decode
+    # Supports beyond the threshold make some syndromes undecodable.
     supports = _random_supports(field, rng, 40, THRESHOLD + 2)
     syndromes = encoder.syndrome_of_many(supports)
-    entries = batched_decoder.decode_many_deferred(syndromes, adaptive=adaptive)
+    # So does a scaled row c * g(x), c != 1: its locator 1 + x z splits, but
+    # the support [x] does not reproduce it.
+    scaled = []
+    for _ in range(3):
+        scale = rng.randrange(2, field.order)
+        scaled.append([field.mul(scale, power)
+                       for power in encoder.encode(rng.randrange(1, field.order))])
+    entries = decoder.decode_many_deferred(syndromes + scaled, adaptive=adaptive)
+    for entry in entries[len(syndromes):]:
+        assert str(entry) == "recovered support does not reproduce the syndrome"
     failures = 0
-    for support, syndrome, entry in zip(supports, syndromes, entries):
-        try:
-            expected = scalar_decoder.decode_adaptive(syndrome) if adaptive \
-                else scalar_decoder.decode(syndrome)
-        except DecodeFailure as error:
+    for support, syndrome, entry in zip(supports + [None] * len(scaled),
+                                        syndromes + scaled, entries):
+        if support is not None and len(support) <= THRESHOLD:
+            assert entry == sorted(support)
+        if isinstance(entry, DecodeFailure):
             failures += 1
-            assert isinstance(entry, DecodeFailure)
-            assert str(entry) == str(error)
+            assert any(pattern.fullmatch(str(entry))
+                       for pattern in FINAL_ROUND_FAILURES), str(entry)
+            with pytest.raises(DecodeFailure) as raised:
+                scalar(syndrome)
+            assert str(raised.value) == str(entry)
         else:
-            assert entry == expected
-            if len(set(support)) <= THRESHOLD:
-                assert entry == sorted(set(support))
-    if failures:
-        with pytest.raises(DecodeFailure):
-            batched_decoder.decode_many(syndromes, adaptive=adaptive)
-    else:
-        assert batched_decoder.decode_many(syndromes, adaptive=adaptive) == entries
+            assert len(entry) <= THRESHOLD
+            assert _power_sums(field, entry, 2 * THRESHOLD) == syndrome
+    assert failures > len(scaled)
+    with pytest.raises(DecodeFailure):
+        decoder.decode_many(syndromes, adaptive=adaptive)
 
 
 @pytest.mark.parametrize("batched", [False, True])
 def test_wrong_ladder_guesses_stop_before_root_finding(monkeypatch, batched):
     """A round before the last whose locator does not generate the first
     syndrome component the round has not seen moves on to the next budget
-    without root finding, on both paths: on supports within the threshold,
-    the one locator that reaches the root finder is the true one."""
+    without root finding, through both entry points: on supports within the
+    threshold, the one locator that reaches the root finder is the true one."""
     field = GF2m(16)
     threshold = 8
     rng = random.Random(131)
@@ -163,12 +201,7 @@ def test_wrong_ladder_guesses_stop_before_root_finding(monkeypatch, batched):
         rooted.extend(poly.degree for poly in polys)
         return find_roots_many(polys)
 
-    def record_one(poly):
-        rooted.append(poly.degree)
-        return find_roots(poly)
-
     monkeypatch.setattr(rs_decoder, "find_roots_many", record_many)
-    monkeypatch.setattr(rs_decoder, "find_roots", record_one)
     for size in range(1, threshold + 1):
         for _ in range(3):
             support = rng.sample(range(1, field.order), size)
@@ -181,10 +214,16 @@ def test_wrong_ladder_guesses_stop_before_root_finding(monkeypatch, batched):
 
 
 def test_decode_many_rejects_wrong_length():
+    """Every entry point rejects a syndrome of the wrong length, the
+    all-zero one too."""
     field = GF2m(8)
     decoder = SparseRecoveryDecoder(field, THRESHOLD)
     with pytest.raises(ValueError):
         decoder.decode_many_deferred([[0] * (2 * THRESHOLD - 1)])
+    for short in ([0, 0, 0], [1, 0, 0]):
+        for entry_point in (decoder.decode, decoder.decode_adaptive):
+            with pytest.raises(ValueError):
+                entry_point(short)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -264,8 +303,8 @@ def test_parity_table_matches_discovered_bulk_ops():
 
 
 def test_parity_pairs_agree_on_a_shared_workload():
-    """Spot-check through the registry itself: resolving the rootfind pair
-    from the table and driving it produces scalar-identical answers."""
+    """Spot-check through the registry itself: both members of the rootfind
+    pair, resolved from the table, find the roots of known polynomials."""
     from repro.analysis.parity import PARITY_TABLE
 
     pair = next(p for p in PARITY_TABLE
@@ -273,8 +312,8 @@ def test_parity_pairs_agree_on_a_shared_workload():
     scalar, bulk = pair.resolve()
     field = GF2m(8)
     rng = random.Random(11)
-    polys = [Gf2Poly(field, [rng.randrange(field.order) for _ in range(3)] +
-                     [1 + rng.randrange(field.order - 1)])
-             for _ in range(6)]
-    expected = [scalar(poly) for poly in polys]
+    roots = [rng.sample(range(field.order), 3) for _ in range(6)]
+    polys = [Gf2Poly.from_roots(field, chosen) for chosen in roots]
+    expected = [sorted(chosen) for chosen in roots]
+    assert [scalar(poly) for poly in polys] == expected
     assert bulk(polys) == expected

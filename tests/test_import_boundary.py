@@ -93,26 +93,41 @@ def test_serving_process_imports_only_the_query_side(tmp_path):
 
 
 def test_lazy_package_exports_resolve_to_their_modules():
-    """Every name in ``__all__`` of a lazy package resolves, on first access
-    in a fresh process, to the object its defining module holds."""
+    """In a fresh process, each lazy package's ``__all__`` is its ``if
+    TYPE_CHECKING:`` imports plus eager globals, and each import resolves,
+    on first access, to the very object its home module holds."""
     report = _run_child("""
         import importlib
         import json
         import sys
 
+        from repro._lazy import _type_checking_imports
+
+        packages = {name: importlib.import_module(name)
+                    for name in json.load(sys.stdin)}
+        # Globals bound before any export is read.
+        eager = {name: set(vars(module)) for name, module in packages.items()}
         problems = []
-        for package in json.load(sys.stdin):
-            module = importlib.import_module(package)
+        for package, module in packages.items():
+            homes = _type_checking_imports(module)
+            for name in sorted(set(homes) - set(module.__all__)):
+                problems.append("%s imports %s but leaves it out of __all__"
+                                % (package, name))
             for name in module.__all__:
+                if name not in homes:
+                    if name not in eager[package]:
+                        problems.append("%s.%s is neither imported nor a global"
+                                        % (package, name))
+                    continue
+                home, imported = homes[name]
                 try:
                     value = getattr(module, name)
                 except AttributeError as error:
                     problems.append(str(error))
                     continue
-                home = getattr(value, "__module__", None)
-                if home is not None and \\
-                        getattr(importlib.import_module(home), name, None) is not value:
-                    problems.append("%s.%s is not %s.%s" % (package, name, home, name))
+                if value is not getattr(importlib.import_module(home), imported):
+                    problems.append("%s.%s is not %s.%s"
+                                    % (package, name, home, imported))
         print(json.dumps({"problems": problems}))
     """, list(LAZY_PACKAGES))
     assert report["problems"] == []
