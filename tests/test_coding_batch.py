@@ -84,6 +84,36 @@ def _power_sums(field, support, length):
     return sums
 
 
+def _linear_complexity(field, sequence):
+    """The length of the shortest LFSR generating ``sequence``: the least
+    ``L`` for which ``s_n = sum_{i=1..L} c_i s_{n-i}`` (``n = L..N-1``) is
+    solvable, by Gaussian elimination on the augmented system."""
+    for length in range(len(sequence) + 1):
+        rows = [[sequence[n - i] for i in range(1, length + 1)] + [sequence[n]]
+                for n in range(length, len(sequence))]
+        rank = 0
+        consistent = True
+        for column in range(length + 1):
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][column]), None)
+            if pivot is None:
+                continue
+            if column == length:
+                consistent = False  # a row reads 0 = nonzero
+                break
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            factor = field.inv(rows[rank][column])
+            rows[rank] = [field.mul(factor, value) for value in rows[rank]]
+            for r in range(len(rows)):
+                if r != rank and rows[r][column]:
+                    scale = rows[r][column]
+                    rows[r] = [value ^ field.mul(scale, top)
+                               for value, top in zip(rows[r], rows[rank])]
+            rank += 1
+        if consistent:
+            return length
+    raise AssertionError("unreachable: the empty system is always solvable")
+
+
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
 def test_syndrome_of_many_matches_scalar(field, bulk):
     """Every syndrome equals the power sums of its support by scalar field
@@ -116,6 +146,32 @@ def test_berlekamp_massey_many_matches_scalar(field, bulk):
     for support, locator in zip(supports, berlekamp_massey_many(field, sequences)):
         assert locator.coeffs == _locator(field, support).coeffs, support
     assert berlekamp_massey_many(field, []) == []
+
+
+@pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
+def test_mixed_length_sequences_match_scalar(field, bulk):
+    """Every sequence of a mixed-length batch gets a minimal LFSR of its own:
+    a connection polynomial with constant term 1, of degree at most the
+    sequence's linear complexity L, that generates the sequence at length L.
+    The batch mixes random sequences with syndrome prefixes too short to pin
+    their support."""
+    rng = random.Random(field.width * 107 + len(bulk.name))
+    encoder = SyndromeEncoder(field, THRESHOLD, bulk=bulk)
+    lengths = (1, 3, 10, 2, 7, 10, 4)
+    sequences = [[rng.randrange(field.order) for _ in range(length)]
+                 for length in lengths]
+    supports = [rng.sample(range(1, field.order), 2 * THRESHOLD) for _ in lengths]
+    sequences += [syndrome[:length] for syndrome, length
+                  in zip(encoder.syndrome_of_many(supports), lengths)]
+    for sequence, locator in zip(sequences, berlekamp_massey_many(field, sequences)):
+        complexity = _linear_complexity(field, sequence)
+        coeffs = list(locator.coeffs) + [0] * (complexity + 1 - len(locator.coeffs))
+        assert coeffs[0] == 1 and locator.degree <= complexity, (sequence, coeffs)
+        for n in range(complexity, len(sequence)):
+            feedback = 0
+            for i in range(complexity + 1):
+                feedback ^= field.mul(coeffs[i], sequence[n - i])
+            assert feedback == 0, (sequence, coeffs, n)
 
 
 @pytest.mark.parametrize("field,bulk", CASES, ids=CASE_IDS)
