@@ -98,16 +98,6 @@ class SyndromeEncoder:
             if not self.field.contains(element):
                 raise ValueError("element %d is outside the field" % element)
 
-    def encode_prefix(self, element: int, length: int) -> list[int]:
-        """The first ``length`` components of ``encode(element)``.
-
-        Proposition 6 of the paper: prefixes of Reed--Solomon syndromes are
-        themselves Reed--Solomon syndromes for a smaller threshold, which is
-        what makes adaptive decoding possible without re-labeling.
-        """
-        full = self.encode(element)
-        return full[:length]
-
     def syndrome_of(self, elements: Iterable[int]) -> list[int]:
         """The syndrome (power sums) of an explicit support set."""
         return self.syndrome_of_many([list(elements)])[0]

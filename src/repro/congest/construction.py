@@ -102,8 +102,7 @@ class DistributedLabelConstruction:
         vectors = {}
         width = 0
         for vertex in self.graph.vertices():
-            label = outdetect.label_of(vertex)
-            flat = _flatten_label(label)
+            flat = outdetect.lanes(outdetect.label_of(vertex))
             vectors[vertex] = flat
             width = max(width, len(flat))
         for vertex, flat in vectors.items():
@@ -144,12 +143,3 @@ class DistributedLabelConstruction:
             "label_width_words": self._label_width_words,
         }
 
-
-def _flatten_label(label) -> list[int]:
-    """Flatten a (possibly nested) outdetect label into a list of integer words."""
-    if isinstance(label, int):
-        return [label]
-    flat: list[int] = []
-    for part in label:
-        flat.extend(_flatten_label(part))
-    return flat

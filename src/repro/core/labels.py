@@ -9,15 +9,16 @@ label objects therefore contain exactly what the paper assigns (Section 7.2):
   ``sigma(e)`` in ``T'`` and the XOR of the outdetect labels over the subtree
   hanging below that tree edge.
 
-Both label classes round-trip through a versioned byte format
-(``to_bytes`` / ``from_bytes``, see :mod:`repro.core.serialize`) so labels can
-be stored and shipped out of process.
+The outdetect part of an edge label holds one packed word per level (see
+:mod:`repro.gf2.bulk`).  Both label classes round-trip through a versioned
+byte format (``to_bytes`` / ``from_bytes``, see :mod:`repro.core.serialize`)
+so labels can be stored and shipped out of process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core import serialize
 from repro.labeling.ancestry import AncestryLabel
@@ -45,7 +46,7 @@ class VertexLabel:
     def from_bytes(cls, data: bytes) -> "VertexLabel":
         """Inverse of :meth:`to_bytes`; raises
         :class:`~repro.core.serialize.LabelDecodeError` on malformed input."""
-        offset = serialize.read_header(data, serialize.KIND_VERTEX)
+        _, offset = serialize.read_header(data, serialize.KIND_VERTEX)
         pre, offset = serialize.read_varint(data, offset)
         post, offset = serialize.read_varint(data, offset)
         serialize.check_consumed(data, offset)
@@ -64,10 +65,12 @@ class EdgeLabel:
         contained in the upper one's.
     outdetect_subtree_sum:
         XOR of the outdetect labels over all vertices in the subtree of T'
-        rooted at the lower endpoint (the quantity Proposition 4 sums).
+        rooted at the lower endpoint (the quantity Proposition 4 sums): a
+        packed word, or a tuple of one word per level.
     outdetect_bits:
-        Size of ``outdetect_subtree_sum`` in bits (recorded at construction
-        time so size accounting does not need the scheme object).
+        Size of ``outdetect_subtree_sum`` in bits — the field bits of its
+        lanes, not their bytes (recorded at construction time so size
+        accounting does not need the scheme object).
     """
 
     ancestry_upper: AncestryLabel
@@ -91,56 +94,36 @@ class EdgeLabel:
     def to_bytes(self) -> bytes:
         """Serialize to the versioned byte format of :mod:`repro.core.serialize`.
 
-        The outdetect subtree sum is stored as a tagged int/tuple tree, so any
-        scheme variant's label shape (flat k-threshold or sketch vectors,
-        per-level tuples for layered schemes) round-trips exactly.
+        The outdetect subtree sum is stored as a tagged tree of packed words,
+        so any scheme variant's label shape (one word for a single
+        k-threshold or sketch level, a tuple of per-level words for layered
+        schemes) round-trips exactly.
         """
-        out = self._write_prefix()
-        serialize.write_label_tree(self.outdetect_subtree_sum, out)
-        return bytes(out)
-
-    @staticmethod
-    def to_bytes_many(labels: Sequence["EdgeLabel"]) -> list[bytes]:
-        """Bulk twin of :meth:`to_bytes`: ``[x.to_bytes() for x in labels]``.
-
-        The outdetect trees of all labels are encoded together by
-        :func:`~repro.core.serialize.encode_label_trees`; the header and the
-        varints ahead of each tree stay per label.  When the bulk encoder
-        declines the trees, every label goes through :meth:`to_bytes`, the
-        reference, which also raises its errors.
-        """
-        trees = serialize.encode_label_trees(
-            [label.outdetect_subtree_sum for label in labels])
-        if trees is None:
-            return [label.to_bytes() for label in labels]
-        blobs = []
-        for label, tree in zip(labels, trees):
-            out = label._write_prefix()
-            out += tree
-            blobs.append(bytes(out))
-        return blobs
-
-    def _write_prefix(self) -> bytearray:
-        """The header and the five varints that precede the outdetect tree."""
         out = serialize.write_header(serialize.KIND_EDGE)
         serialize.write_varint(self.ancestry_upper.pre, out)
         serialize.write_varint(self.ancestry_upper.post, out)
         serialize.write_varint(self.ancestry_lower.pre, out)
         serialize.write_varint(self.ancestry_lower.post, out)
         serialize.write_varint(self.outdetect_bits, out)
-        return out
+        serialize.write_label_tree(self.outdetect_subtree_sum, out)
+        return bytes(out)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EdgeLabel":
         """Inverse of :meth:`to_bytes`; raises
-        :class:`~repro.core.serialize.LabelDecodeError` on malformed input."""
-        offset = serialize.read_header(data, serialize.KIND_EDGE)
+        :class:`~repro.core.serialize.LabelDecodeError` on malformed input.
+
+        The subtree sum comes back as stored: of a version-1 payload, with
+        each level the tuple of its field elements, which
+        :meth:`~repro.outdetect.base.OutdetectScheme.read_label` packs.
+        """
+        version, offset = serialize.read_header(data, serialize.KIND_EDGE)
         upper_pre, offset = serialize.read_varint(data, offset)
         upper_post, offset = serialize.read_varint(data, offset)
         lower_pre, offset = serialize.read_varint(data, offset)
         lower_post, offset = serialize.read_varint(data, offset)
         outdetect_bits, offset = serialize.read_varint(data, offset)
-        subtree_sum, offset = serialize.read_label_tree(data, offset)
+        subtree_sum, offset = serialize.read_label_tree(data, offset, version)
         serialize.check_consumed(data, offset)
         try:
             return cls(

@@ -6,32 +6,37 @@ a byte encoding.  The format is deliberately simple and self-describing:
 
 * a 6-byte header: magic ``b"FTCL"``, one format-version byte, one kind byte
   (:data:`KIND_VERTEX` or :data:`KIND_EDGE`);
-* unsigned LEB128 varints for all integers (ancestry pre/post values are
-  small, outdetect field elements can be hundreds of bits — varints handle
-  both without fixed-width waste);
-* outdetect subtree sums are arbitrarily nested tuples of integers (flat for a
-  single k-threshold or sketch level, one tuple per level for layered
-  schemes), encoded as a tagged tree: ``0x00`` + varint for an int node,
-  ``0x01`` + varint length + children for a tuple node.
+* unsigned LEB128 varints for the label's integer fields (ancestry pre/post
+  values, the outdetect bit count);
+* outdetect subtree sums are nested tuples of packed words (one word for a
+  single k-threshold or sketch level, one tuple of per-level words for
+  layered schemes), encoded as a tagged tree: ``0x01`` + varint length +
+  children for a tuple node, and ``0x02`` + varint byte count + the word's
+  shortest little-endian bytes for an int node, read back by one
+  ``int.from_bytes``.
+
+Version 1 payloads, which nothing writes any more, store an int node as
+``0x00`` + one varint and each outdetect level as the tuple of its field
+elements; they stay readable (:func:`read_label_tree` with ``version=1``),
+and :meth:`~repro.outdetect.base.OutdetectScheme.read_label` packs their
+levels.
 
 The codecs round-trip exactly: ``from_bytes(to_bytes(label)) == label`` for
 every label any scheme variant produces, which the property tests assert.
-
-:func:`encode_label_trees` writes many trees at once: their int leaves are
-LEB128-encoded in one vectorized numpy pass, byte-identical to
-:func:`write_label_tree`, which stays the reference and the fallback.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Sequence
+from typing import Any
 
 #: File magic of every serialized label.
 MAGIC = b"FTCL"
 
 #: Current format version (bump when the layout changes).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: Every version this build reads.
+READABLE_VERSIONS = (1, 2)
 
 #: Kind byte of a serialized :class:`~repro.core.labels.VertexLabel`.
 KIND_VERTEX = 0x01
@@ -39,14 +44,15 @@ KIND_VERTEX = 0x01
 #: Kind byte of a serialized :class:`~repro.core.labels.EdgeLabel`.
 KIND_EDGE = 0x02
 
-_TAG_INT = 0x00
+_TAG_VARINT = 0x00
 _TAG_TUPLE = 0x01
+_TAG_WORD = 0x02
 
 #: Upper bound on the encoded length of a single varint.  Legitimate label
-#: integers (ancestry values, outdetect field elements, sketch cells) are at
-#: most a few hundred bits — far below this cap — but a corrupt or adversarial
-#: run of continuation bytes must not build an unboundedly large integer
-#: before the decoder notices the problem.
+#: varints (ancestry values, bit counts, the field elements and sketch cells
+#: of version-1 payloads) are at most a few hundred bits — far below this
+#: cap — but a corrupt or adversarial run of continuation bytes must not
+#: build an unboundedly large integer before the decoder notices the problem.
 MAX_VARINT_BYTES = 1 << 16
 
 #: Upper bound on label-tree nesting.  Real labels nest at most a few levels
@@ -104,10 +110,12 @@ def read_varint(data: bytes, offset: int) -> tuple[int, int]:
 # ------------------------------------------------------------ label trees
 
 def write_label_tree(node: Any, out: bytearray) -> None:
-    """Append the tagged-tree encoding of an int-or-tuple structure."""
+    """Append the version-2 tagged-tree encoding of an int-or-tuple structure."""
     if isinstance(node, int):
-        out.append(_TAG_INT)
-        write_varint(node, out)
+        length = (node.bit_length() + 7) // 8
+        out.append(_TAG_WORD)
+        write_varint(length, out)
+        out += node.to_bytes(length, "little")
     elif isinstance(node, tuple):
         out.append(_TAG_TUPLE)
         write_varint(len(node), out)
@@ -118,122 +126,26 @@ def write_label_tree(node: Any, out: bytearray) -> None:
                         % type(node).__name__)
 
 
-def encode_int_nodes(values) -> tuple[bytes, Any]:
-    """The int-node encodings (tag ``0x00`` + LEB128) of a ``uint64`` array.
+def read_label_tree(data: bytes, offset: int, version: int = FORMAT_VERSION,
+                    _depth: int = 0) -> tuple[Any, int]:
+    """Read one tagged tree at ``offset``; returns ``(node, next_offset)``.
 
-    Returns ``(data, offsets)``: the encodings concatenated, each byte for
-    byte what :func:`write_label_tree` writes for that value, and the
-    ``len(values) + 1`` byte offsets at which each one starts (the last is
-    ``len(data)``).  The work is a few array passes per 7-bit group of the
-    widest value, instead of one Python call per value.
+    An int node is a word in version 2 and a varint in version 1; a node of
+    the other version's int tag is corrupt.
     """
-    import numpy as np
-
-    groups = np.ones(len(values), dtype=np.uint8)
-    shift = 7
-    while shift < 64:
-        above = values >= np.uint64(1 << shift)
-        if not above.any():
-            break
-        groups += above
-        shift += 7
-    widest = shift // 7
-    # Row i holds value i's encoding, left-aligned: the tag, then its 7-bit
-    # groups low to high, each with the continuation bit set when another
-    # group follows.  ``used`` marks the row's first groups[i] + 1 bytes.
-    matrix = np.zeros((len(values), widest + 1), dtype=np.uint8)
-    used = np.ones((len(values), widest + 1), dtype=bool)
-    for group in range(widest):
-        more = groups > group + 1
-        column = (values >> np.uint64(7 * group)).astype(np.uint8) & np.uint8(0x7F)
-        column |= more * np.uint8(0x80)
-        matrix[:, group + 1] = column
-        if group + 2 <= widest:
-            used[:, group + 2] = more
-    offsets = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(groups.astype(np.int64) + 1, out=offsets[1:])
-    return matrix[used].tobytes(), offsets
-
-
-def encode_label_trees(trees: Sequence[Any]) -> list[bytes] | None:
-    """The :func:`write_label_tree` encodings of many trees, byte for byte.
-
-    Tuple headers are written per node, while every int leaf of every tree
-    is gathered into one ``uint64`` array and encoded by
-    :func:`encode_int_nodes`; each tree then takes its byte slices back.
-    Returns ``None`` when numpy is not importable, or when a tree holds
-    anything but tuples and ints in ``[0, 2**64)``: the caller then runs
-    the scalar reference, which also raises its errors.  Leaves are read
-    as C ``unsigned long long``, so an integer-like leaf that is not an
-    ``int`` (a numpy integer, say) is written by value where
-    :func:`write_label_tree` raises ``TypeError``; no scheme makes one.
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        return None
-    plans = []
-    leaves = array("Q")
-    runs = [0]
-    for tree in trees:
-        plan: list = []
-        if not _plan_label_tree(tree, plan, leaves, runs):
-            return None
-        plans.append(plan)
-    data, offsets = encode_int_nodes(np.frombuffer(leaves, dtype=np.uint64))
-    bounds = offsets[np.cumsum(runs)].tolist()
-    encoded = []
-    run = 0
-    for plan in plans:
-        parts = []
-        for part in plan:
-            if part is None:
-                parts.append(data[bounds[run]:bounds[run + 1]])
-                run += 1
-            else:
-                parts.append(part)
-        encoded.append(b"".join(parts))
-    return encoded
-
-
-def _plan_label_tree(node: Any, plan: list, leaves: array, runs: list) -> bool:
-    """Lay out ``node`` for :func:`encode_label_trees`.
-
-    Appends to ``plan`` the header bytes of each tuple node and ``None``
-    for each run of int leaves; the run's values go to ``leaves`` and its
-    length to ``runs``.  Returns False on a node the bulk path does not
-    take.
-    """
-    if type(node) is int:
-        node = (node,)
-    elif type(node) is tuple:
-        header = bytearray((_TAG_TUPLE,))
-        write_varint(len(node), header)
-        plan.append(bytes(header))
-    else:
-        return False
-    try:
-        run = array("Q", node)
-    except OverflowError:  # a leaf below 0, or of 2**64 or more
-        return False
-    except TypeError:  # a tuple holding more than ints: lay out each child
-        return all(_plan_label_tree(child, plan, leaves, runs) for child in node)
-    leaves.extend(run)
-    runs.append(len(run))
-    plan.append(None)
-    return True
-
-
-def read_label_tree(data: bytes, offset: int, _depth: int = 0) -> tuple[Any, int]:
-    """Read one tagged tree at ``offset``; returns ``(node, next_offset)``."""
     if _depth > MAX_TREE_DEPTH:
         raise LabelDecodeError("label tree nested deeper than %d levels" % MAX_TREE_DEPTH)
     if offset >= len(data):
         raise LabelDecodeError("truncated label tree")
     tag = data[offset]
     offset += 1
-    if tag == _TAG_INT:
+    if tag == _TAG_VARINT and version == 1:
         return read_varint(data, offset)
+    if tag == _TAG_WORD and version == 2:
+        length, offset = read_varint(data, offset)
+        if length > len(data) - offset:
+            raise LabelDecodeError("word of %d bytes runs past the label" % length)
+        return int.from_bytes(data[offset:offset + length], "little"), offset + length
     if tag == _TAG_TUPLE:
         length, offset = read_varint(data, offset)
         # Every child occupies at least two bytes (a tag plus one varint
@@ -245,10 +157,10 @@ def read_label_tree(data: bytes, offset: int, _depth: int = 0) -> tuple[Any, int
                                    % (length, remaining))
         children = []
         for _ in range(length):
-            child, offset = read_label_tree(data, offset, _depth + 1)
+            child, offset = read_label_tree(data, offset, version, _depth + 1)
             children.append(child)
         return tuple(children), offset
-    raise LabelDecodeError("unknown label-tree tag 0x%02x" % tag)
+    raise LabelDecodeError("unknown version-%d label-tree tag 0x%02x" % (version, tag))
 
 
 # --------------------------------------------------------------- envelopes
@@ -261,22 +173,24 @@ def write_header(kind: int) -> bytearray:
     return out
 
 
-def read_header(data: bytes, expected_kind: int) -> int:
-    """Validate the header; returns the offset of the payload."""
+def read_header(data: bytes, expected_kind: int) -> tuple[int, int]:
+    """Validate the header; returns the format version and the offset of the
+    payload."""
     if len(data) < len(MAGIC) + 2:
         raise LabelDecodeError("byte string too short to hold a label header")
     if data[:len(MAGIC)] != MAGIC:
         raise LabelDecodeError("bad magic %r (expected %r)"
                                % (bytes(data[:len(MAGIC)]), MAGIC))
     version = data[len(MAGIC)]
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         raise LabelDecodeError("unsupported label format version %d (this build "
-                               "reads version %d)" % (version, FORMAT_VERSION))
+                               "reads versions %s)"
+                               % (version, ", ".join(map(str, READABLE_VERSIONS))))
     kind = data[len(MAGIC) + 1]
     if kind != expected_kind:
         raise LabelDecodeError("label kind 0x%02x does not match expected 0x%02x"
                                % (kind, expected_kind))
-    return len(MAGIC) + 2
+    return version, len(MAGIC) + 2
 
 
 def check_consumed(data: bytes, offset: int) -> None:

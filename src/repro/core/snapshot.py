@@ -78,11 +78,17 @@ within that region instead of inlining the bytes::
 When a v2 file is loaded *by path*, :func:`load_snapshot` maps it read-only
 and hands out zero-copy ``memoryview`` slices as the lazy label blobs: N
 worker processes mapping the same artifact share one page-cached copy, and
-per-worker RSS stays proportional to the labels actually decoded.  Version 1
-artifacts keep loading exactly as before (fully read into bytes);
+per-worker RSS stays proportional to the labels actually decoded.  A version
+1 file loaded by path is parsed straight from its mapping, and only each
+label blob is copied out of it, so the file is never held twice;
 :func:`upgrade_snapshot_file` (``repro snapshot-upgrade``) converts between
 the layouts without decoding a single label, so answers are bit-identical
 across versions by construction.
+
+Both container versions carry label blobs of either payload version (see
+:mod:`repro.core.serialize`): a blob written before payload version 2 keeps
+its element trees, and its levels are packed when
+:class:`RehydratedOracle` first reads it.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ from __future__ import annotations
 import mmap
 import os
 import secrets
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Sequence
 
@@ -190,19 +196,6 @@ def _label_blob(label) -> bytes:
     return label.to_bytes()
 
 
-def _edge_label_blobs(labels: Iterable) -> list:
-    """The serialized bytes of every edge-label map value, in order.
-
-    Label objects are encoded together by :meth:`EdgeLabel.to_bytes_many`;
-    raw blobs of a lazily loaded snapshot pass through verbatim.
-    """
-    labels = list(labels)
-    encoded = iter(EdgeLabel.to_bytes_many(
-        [label for label in labels if not isinstance(label, (bytes, memoryview))]))
-    return [_label_blob(label) if isinstance(label, (bytes, memoryview))
-            else next(encoded) for label in labels]
-
-
 def write_file_atomically(path: "str | os.PathLike[str]", data: bytes) -> None:
     """Replace ``path`` with ``data`` by renaming a finished file over it.
 
@@ -242,7 +235,7 @@ def read_string(data: bytes, offset: int) -> tuple[str, int]:
     length, offset = read_varint(data, offset)
     raw, offset = _read_exact(data, offset, length, "string")
     try:
-        return raw.decode("utf-8"), offset
+        return str(raw, "utf-8"), offset
     except UnicodeDecodeError as error:
         raise LabelDecodeError("invalid UTF-8 in snapshot string: %s" % error) from error
 
@@ -457,8 +450,8 @@ class FTCSnapshot:
             write_varint(len(blob), out)
             out += blob
         write_varint(len(self.edge_labels), out)
-        for (u, v), blob in zip(self.edge_labels,
-                                _edge_label_blobs(self.edge_labels.values())):
+        for (u, v), label in self.edge_labels.items():
+            blob = _label_blob(label)
             write_vertex_key(u, out)
             write_vertex_key(v, out)
             write_varint(len(blob), out)
@@ -485,8 +478,8 @@ class FTCSnapshot:
             write_varint(len(blob), body)
             region += blob
         write_varint(len(self.edge_labels), body)
-        for (u, v), blob in zip(self.edge_labels,
-                                _edge_label_blobs(self.edge_labels.values())):
+        for (u, v), label in self.edge_labels.items():
+            blob = _label_blob(label)
             write_vertex_key(u, body)
             write_vertex_key(v, body)
             write_varint(len(region), body)
@@ -518,6 +511,10 @@ class FTCSnapshot:
         :class:`RehydratedOracle` uses this to decode each label lazily on
         first use, which makes rehydration time proportional to the number of
         labels rather than their total bit-size.
+
+        ``data`` may also be a read-only ``mmap`` of a version-1 file: the
+        container is parsed from the mapping, and each blob is copied out of
+        it on its own, so the file is never copied whole.
         """
         return cls._from_bytes(data, decode_labels)
 
@@ -536,8 +533,6 @@ class FTCSnapshot:
                 "unsupported snapshot format version %d (this build reads "
                 "versions %d and %d)"
                 % (version, SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2))
-        if not isinstance(data, bytes):
-            data = bytes(data)
         offset = len(SNAPSHOT_MAGIC) + 1
 
         config, codec_modulus, field_width, field_modulus, descriptor, offset = \
@@ -817,7 +812,10 @@ class RehydratedOracle(LabelBackedQueries):
         self.outdetect = build_decode_outdetect(
             snapshot.outdetect, field, snapshot.config.adaptive_decoding)
         self._vertex_labels = dict(snapshot.vertex_labels)
-        self._edge_labels = dict(snapshot.edge_labels)
+        self._edge_labels = {
+            edge: label if isinstance(label, (bytes, memoryview))
+            else self._read_edge_label(label)
+            for edge, label in snapshot.edge_labels.items()}
         self._init_session_cache()
         self._queries_answered = 0
         self._closed = False
@@ -833,7 +831,11 @@ class RehydratedOracle(LabelBackedQueries):
     # labels it actually needs — the rehydration cost of a snapshot is
     # structural, not proportional to total label bits.  Decoding is
     # idempotent and the in-place swap is a single (GIL-atomic) dict store, so
-    # concurrent threads may at worst decode the same blob twice.
+    # concurrent threads may at worst decode the same blob twice.  An edge
+    # label's outdetect levels are checked against the decode-side scheme as
+    # they are read (and a version-1 payload's levels packed), so a label
+    # that does not fit fails here, as corrupt data, and never reaches a
+    # decoder.
 
     def vertex_label(self, vertex: Vertex) -> VertexLabel:
         self._ensure_open()
@@ -854,9 +856,18 @@ class RehydratedOracle(LabelBackedQueries):
         except KeyError:
             raise KeyError("edge %r is not in the snapshot" % (edge,)) from None
         if isinstance(label, (bytes, memoryview)):
-            label = EdgeLabel.from_bytes(bytes(label))
+            label = self._read_edge_label(EdgeLabel.from_bytes(bytes(label)))
             self._edge_labels[edge] = label
         return label
+
+    def _read_edge_label(self, label: EdgeLabel) -> EdgeLabel:
+        """``label`` with its subtree sum read by the decode-side scheme."""
+        try:
+            subtree_sum = self.outdetect.read_label(label.outdetect_subtree_sum)
+        except ValueError as error:
+            raise LabelDecodeError("edge label does not fit the snapshot's "
+                                   "outdetect scheme: %s" % error) from error
+        return replace(label, outdetect_subtree_sum=subtree_sum)
 
     # -------------------------------------------------------------- topology
 
@@ -999,9 +1010,11 @@ def load_snapshot(source) -> RehydratedOracle:
             raise
         oracle._adopt_mmap(mapped, view)
         return oracle
-    data = bytes(mapped)
-    mapped.close()
-    return FTCSnapshot.from_bytes(data, decode_labels=False).rehydrate()
+    try:
+        snapshot = FTCSnapshot.from_bytes(mapped, decode_labels=False)
+    finally:
+        mapped.close()
+    return snapshot.rehydrate()
 
 
 def upgrade_snapshot_file(source, destination) -> dict:

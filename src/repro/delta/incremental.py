@@ -133,7 +133,7 @@ def _level_reuse_hook(base: FTCLabeling) -> Any:
         known = [(position, vertex) for position, vertex in enumerate(vertices)
                  if vertex in scheme._rows]
         parts = [([position for position, _ in known],
-                  [scheme.label_of(vertex) for _, vertex in known])]
+                  [scheme.lanes(scheme.label_of(vertex)) for _, vertex in known])]
         if delta_items:
             # A graph edit renames the subdivision leaves of the changed
             # edges, so removals may reference base-only vertices — the delta

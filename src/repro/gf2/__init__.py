@@ -18,8 +18,8 @@ Public API
 ``BulkOps`` / ``get_bulk_ops``
     Pluggable bulk (vectorized) backends — a pure-Python table-driven
     implementation and an optional numpy bit-sliced label build — used by
-    the outdetect layer to compute many consecutive-power rows and XOR
-    accumulations in one shot.
+    the outdetect layer to compute many consecutive-power rows in one shot
+    and hand out labels as packed words (``pack_lanes`` / ``unpack_lanes``).
 """
 
 from repro.gf2.field import GF2m, FixedMultiplier

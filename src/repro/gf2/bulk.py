@@ -27,19 +27,29 @@ this.  Backend selection can be forced with the ``REPRO_GF2_BACKEND``
 environment variable (``auto`` / ``python`` / ``numpy``).
 
 Decoding needs only scalar field arithmetic on a few rows at a time.  The
-decode side calls ``xor_accumulate`` to combine labels and ``pow_range_many``
-and ``scatter_xor_rows`` to re-encode recovered supports (Berlekamp--Massey
-and root finding multiply through :class:`~repro.gf2.field.GF2m` itself), and
-those methods, like ``mul_many`` and ``pow_range``, run on the Python kernels
-under either backend: :class:`NumpyBulkOps` is a :class:`PyBulkOps` that
-overrides only the label-build kernels, so ``REPRO_GF2_BACKEND`` picks the
-build backend.  numpy is imported on the first call that reaches an array
-kernel, not with this module: whether it is installed is learnt from
+decode side calls ``pow_range_many`` and ``scatter_xor_rows`` to re-encode
+recovered supports (Berlekamp--Massey and root finding multiply through
+:class:`~repro.gf2.field.GF2m` itself), and those methods, like ``mul_many``
+and ``pow_range``, run on the Python kernels under either backend:
+:class:`NumpyBulkOps` is a :class:`PyBulkOps` that overrides only the
+label-build kernels, so ``REPRO_GF2_BACKEND`` picks the build backend.  numpy
+is imported on the first call that reaches an array kernel, not with this
+module: whether it is installed is learnt from
 :func:`importlib.util.find_spec`.  A level of the label build, every edge
 times 2k, is one uint64 *label matrix* from its power rows through the shard
 merge to its subtree sums (``scatter_pow_rows``, ``merge_rows``,
-``subtree_xor``), and only the sums come back as Python ints.  The Python
+``subtree_xor``), and the labels come out of it as packed words.  The Python
 kernels of those methods are the reference and the no-numpy path.
+
+A *packed word* is one Python int holding a label level: value ``i`` of the
+level sits in lane ``i``, the ``lane_bytes(bits)`` bytes from byte
+``i * lane_bytes(bits)`` of the int's little-endian bytes, where ``bits`` is
+the width of the values (the field width w of a Reed--Solomon level, so 3
+bytes at w = 22; the extended identifier width of a sketch cell).  Labels
+combine by int XOR, and a level is unpacked only when it is decoded.
+:func:`pack_lanes` and :func:`unpack_lanes` are the one pair that reads and
+writes the layout; the numpy kernels hand out the same bytes from their
+matrices' byte view.
 
 A level of fewer than :data:`SMALL_ROWS` edges is built in Python.  Python
 pays for each row's product tables and for each power, numpy for each of its
@@ -132,8 +142,8 @@ class BackendUnavailable(RuntimeError):
 class BulkOps(ABC):
     """Vectorized bulk operations over one GF(2^w) field.
 
-    The XOR-only operations (:meth:`xor_accumulate`, :meth:`scatter_xor`,
-    :meth:`scatter_xor_rows`) also work without a field (``field=None``),
+    The XOR-only operations (:meth:`scatter_xor`, :meth:`scatter_xor_rows`)
+    and the label matrices also work without a field (``field=None``),
     which is what the randomized sketch scheme uses — its cell values are
     fingerprint-extended integers, not field elements.
     """
@@ -175,10 +185,6 @@ class BulkOps(ABC):
     # --------------------------------------------------------------- xor ops
 
     @abstractmethod
-    def xor_accumulate(self, target: list[int], rows: Iterable[Sequence[int]]) -> list[int]:
-        """XOR every row of ``rows`` into ``target`` in place and return it."""
-
-    @abstractmethod
     def scatter_xor_rows(self, num_rows: int, row_len: int,
                          indices: Sequence[int],
                          rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -188,8 +194,8 @@ class BulkOps(ABC):
     @abstractmethod
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
-                    values: Sequence[int]) -> list[list[int]]:
-        """Build a zero matrix and XOR ``values[i]`` into cell
+                    values: Sequence[int]) -> Matrix:
+        """A zero label matrix with ``values[i]`` XOR-ed into cell
         ``(row_indices[i], col_indices[i])`` for every ``i``."""
 
     # --------------------------------------------------------- label matrices
@@ -197,7 +203,7 @@ class BulkOps(ABC):
     # The label build keeps each level's vertex labels as one label matrix:
     # a list of int rows from the Python kernels, one 2-D uint64 array from
     # the numpy ones.  Only the methods below make, combine or read one, and
-    # what they hand back to callers is always Python ints.
+    # what they hand back to callers is packed words of ``bits``-bit lanes.
 
     @abstractmethod
     def scatter_pow_rows(self, num_rows: int, count: int, bases: Sequence[int],
@@ -221,19 +227,20 @@ class BulkOps(ABC):
         """
 
     @abstractmethod
-    def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
-        """Row ``index`` of a label matrix, as a tuple of Python ints."""
+    def matrix_row(self, matrix: Matrix, index: int, bits: int) -> int:
+        """Row ``index`` of a label matrix, packed in ``bits``-bit lanes
+        (:func:`pack_lanes`)."""
 
     @abstractmethod
     def subtree_xor(self, matrix: Matrix, order: Sequence[int],
-                    last: Sequence[int]) -> list[tuple[int, ...]]:
+                    last: Sequence[int], bits: int) -> list[int]:
         """XOR sums of the rows under every vertex of a rooted tree.
 
         ``order[p]`` is the matrix row of the vertex at DFS preorder position
         ``p`` and ``last[p]`` the position of the last vertex of its subtree,
         which in preorder occupies positions ``p .. last[p]``.  Entry ``p``
         of the result is the XOR of rows ``order[p], ..., order[last[p]]``,
-        as a tuple of Python ints.
+        packed in ``bits``-bit lanes (:func:`pack_lanes`).
         """
 
 
@@ -302,16 +309,6 @@ class PyBulkOps(BulkOps):
     def pow_range_many(self, bases: Sequence[int], count: int) -> list[list[int]]:
         return [self.pow_range(base, count) for base in bases]
 
-    def xor_accumulate(self, target: list[int], rows: Iterable[Sequence[int]]) -> list[int]:
-        length = len(target)
-        for row in rows:
-            if len(row) != length:
-                raise ValueError("xor_accumulate row of length %d does not match "
-                                 "target length %d" % (len(row), length))
-            for index, value in enumerate(row):
-                target[index] ^= value
-        return target
-
     def scatter_xor_rows(self, num_rows: int, row_len: int,
                          indices: Sequence[int],
                          rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -319,7 +316,7 @@ class PyBulkOps(BulkOps):
 
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
-                    values: Sequence[int]) -> list[list[int]]:
+                    values: Sequence[int]) -> Matrix:
         matrix = [[0] * row_len for _ in range(num_rows)]
         for row, col, value in zip(row_indices, col_indices, values):
             matrix[row][col] ^= value
@@ -346,23 +343,23 @@ class PyBulkOps(BulkOps):
                                  else [a ^ b for a, b in zip(current, row)])
         return [[0] * row_len if row is zero else row for row in matrix]
 
-    def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
-        return tuple(matrix[index])
+    def matrix_row(self, matrix: Matrix, index: int, bits: int) -> int:
+        return pack_lanes(matrix[index], bits)
 
     def subtree_xor(self, matrix: Matrix, order: Sequence[int],
-                    last: Sequence[int]) -> list[tuple[int, ...]]:
+                    last: Sequence[int], bits: int) -> list[int]:
         # Fold every subtree into its root, children before parents: in
         # reverse preorder each child's sum is complete when its parent's
         # turn comes, and the children of position p start at p + 1 and
         # follow one another subtree by subtree.
-        sums: list = [()] * len(order)
+        sums = [0] * len(order)
         for position in range(len(order) - 1, -1, -1):
-            total = matrix[order[position]]
+            total = pack_lanes(matrix[order[position]], bits)
             child = position + 1
             while child <= last[position]:
-                total = [a ^ b for a, b in zip(total, sums[child])]
+                total ^= sums[child]
                 child = last[child] + 1
-            sums[position] = tuple(total)
+            sums[position] = total
         return sums
 
 
@@ -441,7 +438,7 @@ class NumpyBulkOps(PyBulkOps):
 
     def scatter_xor(self, num_rows: int, row_len: int,
                     row_indices: Sequence[int], col_indices: Sequence[int],
-                    values: Sequence[int]) -> list[list[int]]:
+                    values: Sequence[int]) -> Matrix:
         np = self._arrays(len(values) // LANES_PER_ROW)
         if np is None:
             return super().scatter_xor(num_rows, row_len, row_indices,
@@ -452,7 +449,7 @@ class NumpyBulkOps(PyBulkOps):
             cols = np.asarray(col_indices, dtype=np.intp)
             vals = np.asarray(values, dtype=np.uint64)
             np.bitwise_xor.at(matrix, (rows, cols), vals)
-        return matrix.tolist()
+        return matrix
 
     # --------------------------------------------------------- label matrices
     #
@@ -490,15 +487,15 @@ class NumpyBulkOps(PyBulkOps):
             np.bitwise_xor.at(matrix, np.asarray(indices, dtype=np.intp), block)
         return matrix
 
-    def matrix_row(self, matrix: Matrix, index: int) -> tuple[int, ...]:
+    def matrix_row(self, matrix: Matrix, index: int, bits: int) -> int:
         if not _is_array(matrix):
-            return super().matrix_row(matrix, index)
-        return tuple(matrix[index].tolist())
+            return super().matrix_row(matrix, index, bits)
+        return _packed_rows(matrix[index:index + 1], bits)[0]
 
     def subtree_xor(self, matrix: Matrix, order: Sequence[int],
-                    last: Sequence[int]) -> list[tuple[int, ...]]:
+                    last: Sequence[int], bits: int) -> list[int]:
         if not _is_array(matrix) or not len(order):
-            return super().subtree_xor(matrix, order, last)
+            return super().subtree_xor(matrix, order, last, bits)
         # One prefix-XOR scan over the rows in preorder: with
         # prefix[i] = rows[0] ^ ... ^ rows[i-1], the run p .. last[p] that
         # holds a subtree sums to prefix[last[p] + 1] ^ prefix[p].
@@ -506,9 +503,46 @@ class NumpyBulkOps(PyBulkOps):
         rows = matrix[np.asarray(order, dtype=np.intp)]
         prefix = np.zeros((len(order) + 1, rows.shape[1]), dtype=np.uint64)
         np.bitwise_xor.accumulate(rows, axis=0, out=prefix[1:])
-        sums = prefix[np.asarray(last, dtype=np.intp) + 1] ^ prefix[:-1]
-        # Row by row, each tuple takes its ints while they are still cached.
-        return [tuple(row.tolist()) for row in sums]
+        return _packed_rows(prefix[np.asarray(last, dtype=np.intp) + 1] ^ prefix[:-1],
+                            bits)
+
+
+def lane_bytes(bits: int) -> int:
+    """Bytes per lane of a packed word whose values are ``bits`` wide."""
+    return max(1, -(-bits // 8))
+
+
+def pack_lanes(values: Sequence[int], bits: int) -> int:
+    """One packed word holding ``values``, value ``i`` in lane ``i``.
+
+    Raises ``OverflowError`` for a value below 0 or wider than its lane.
+    """
+    size = lane_bytes(bits)
+    return int.from_bytes(b"".join([value.to_bytes(size, "little")
+                                    for value in values]), "little")
+
+
+def unpack_lanes(word: int, count: int, bits: int) -> list[int]:
+    """The ``count`` lane values of a packed word (inverse of
+    :func:`pack_lanes`); raises ``OverflowError`` when the word does not fit
+    ``count`` lanes."""
+    size = lane_bytes(bits)
+    data = word.to_bytes(count * size, "little")
+    return [int.from_bytes(data[start:start + size], "little")
+            for start in range(0, count * size, size)]
+
+
+def _packed_rows(rows: Any, bits: int) -> list[int]:
+    """Each row of a 2-D uint64 array as a packed word: the low
+    ``lane_bytes(bits)`` bytes of every little-endian element are its lane."""
+    np = _numpy()
+    size = lane_bytes(bits)
+    count, width = rows.shape
+    data = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8).reshape(
+        count, width, 8)[:, :, :size].tobytes()
+    step = width * size
+    return [int.from_bytes(data[start:start + step], "little")
+            for start in range(0, count * step, step)] if step else [0] * count
 
 
 def _is_array(matrix: Matrix) -> bool:

@@ -4,14 +4,19 @@ A scheme assigns every vertex a label; labels form a group under ``combine``
 (XOR), and decoding the combined label of a vertex set S yields identifiers of
 outgoing edges of S.  The identifiers are opaque integers here — the FTC
 scheme interprets them through its edge-ID codec.
+
+A label level is one packed word (:func:`repro.gf2.bulk.pack_lanes`): a
+Python int whose lanes hold the level's field elements or sketch cells, so
+combining labels is int XOR and a level is unpacked only to be decoded.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Any, Hashable, Iterable, Sequence
 
-from repro.gf2.bulk import BulkOps, Matrix
+from repro.gf2.bulk import BulkOps, Matrix, pack_lanes, unpack_lanes
 
 Vertex = Hashable
 Label = Any
@@ -57,6 +62,21 @@ class OutdetectScheme(ABC):
     @abstractmethod
     def label_bit_size(self, label: Label) -> int:
         """Size of one label in bits (for the experiment harness)."""
+
+    @abstractmethod
+    def lanes(self, label: Label) -> list[int]:
+        """The field elements or sketch cells of a label, level by level."""
+
+    @abstractmethod
+    def read_label(self, stored) -> Label:
+        """A label as a serialized tree stores it, checked against this
+        scheme's shape.
+
+        A version-2 payload stores each level as its packed word; a
+        version-1 payload stores a level as the tuple of its lane values,
+        which is packed here.  Raises ``ValueError`` when ``stored`` has
+        another shape, or a level does not fit its lanes.
+        """
 
     @abstractmethod
     def subtree_sums(self, preorder: Sequence[Vertex],
@@ -119,16 +139,20 @@ def raise_deferred(entry: list[int] | OutdetectDecodeError) -> list[int]:
 
 
 class MatrixLabels:
-    """Vertex labels kept as one label matrix of a bulk backend.
+    """Labels that are one packed word, kept as one label matrix of a bulk
+    backend.
 
     The label of ``v`` is row ``_rows[v]`` of ``_matrix``, a matrix in the
     form of ``bulk`` (a uint64 array on numpy, see
     :meth:`~repro.gf2.bulk.BulkOps.scatter_pow_rows`), so a build never
-    turns it into Python ints row by row; labels come out as tuples of
-    Python ints.
+    turns it into Python ints row by row.  Labels come out as packed words
+    of ``lane_count`` lanes of ``lane_bits`` bits; they combine by XOR and
+    unpack only in :meth:`lanes`.
     """
 
     bulk: BulkOps
+    lane_count: int
+    lane_bits: int
     _matrix: Matrix
     _rows: dict
 
@@ -141,10 +165,44 @@ class MatrixLabels:
         self._rows = {vertex: position for position, vertex in enumerate(vertices)}
         self._matrix = matrix
 
-    def label_of(self, vertex: Vertex) -> Label:
-        return self.bulk.matrix_row(self._matrix, self._rows[vertex])
+    def label_of(self, vertex: Vertex) -> int:
+        return self.bulk.matrix_row(self._matrix, self._rows[vertex], self.lane_bits)
 
     def subtree_sums(self, preorder: Sequence[Vertex],
                      last: Sequence[int]) -> list:
         return self.bulk.subtree_xor(
-            self._matrix, [self._rows[vertex] for vertex in preorder], last)
+            self._matrix, [self._rows[vertex] for vertex in preorder], last,
+            self.lane_bits)
+
+    def zero_label(self) -> int:
+        return 0
+
+    def combine(self, first: int, second: int) -> int:
+        return first ^ second
+
+    def label_bit_size(self, label: int) -> int:
+        return self.lane_count * self.lane_bits
+
+    def lanes(self, label: int) -> list[int]:
+        return unpack_lanes(label, self.lane_count, self.lane_bits)
+
+    @cached_property
+    def _lane_mask(self) -> int:
+        """The packed word with every bit of every lane value set."""
+        return pack_lanes([(1 << self.lane_bits) - 1] * self.lane_count,
+                          self.lane_bits)
+
+    def read_label(self, stored) -> int:
+        if isinstance(stored, tuple):
+            if len(stored) != self.lane_count:
+                raise ValueError("a label level holds %d values, expected %d"
+                                 % (len(stored), self.lane_count))
+            try:
+                stored = pack_lanes(stored, self.lane_bits)
+            except (AttributeError, OverflowError):
+                raise ValueError("a label level holds a value that is not a "
+                                 "%d-bit int" % self.lane_bits) from None
+        if type(stored) is not int or stored & ~self._lane_mask:
+            raise ValueError("a label level does not fit %d lanes of %d bits"
+                             % (self.lane_count, self.lane_bits))
+        return stored

@@ -1,7 +1,8 @@
 """The S_{f,T}-outdetect labeling scheme layered over a hierarchy (Lemma 2).
 
-A vertex label is the concatenation of its per-level k-threshold labels.  To
-decode, the levels are scanned from the deepest (sparsest) upwards: the first
+A vertex label is the concatenation of its per-level k-threshold labels: a
+tuple of one packed word per level.  To decode, the levels are scanned from
+the deepest (sparsest) upwards: the first
 level whose syndrome is non-zero is decoded, and by the goodness of the
 hierarchy the outgoing edge count at that level is within the level's
 threshold, so the decode succeeds and returns genuine outgoing edges.
@@ -40,18 +41,6 @@ class LayeredOutdetect(OutdetectScheme):
         return tuple(scheme.combine(a, b)
                      for scheme, a, b in zip(self.level_schemes, first, second))
 
-    def combine_all(self, labels) -> Label:
-        labels = list(labels)
-        if not labels:
-            return self.zero_label()
-        depth = len(self.level_schemes)
-        for label in labels:
-            if len(label) != depth:
-                raise ValueError("layered labels of different depths cannot be combined")
-        # Delegate per level so each level scheme's bulk backend is used.
-        return tuple(self.level_schemes[index].combine_all(
-            [label[index] for label in labels]) for index in range(depth))
-
     def decode(self, label: Label) -> list[int]:
         return raise_deferred(self.decode_many([label])[0])
 
@@ -67,12 +56,11 @@ class LayeredOutdetect(OutdetectScheme):
         """
         labels = list(labels)
         results: list = [None] * len(labels)
-        zero_labels = [scheme.zero_label() for scheme in self.level_schemes]
         grouped: dict[int, list[int]] = {}
         for position, label in enumerate(labels):
             deepest_nonzero = None
             for index in range(len(self.level_schemes) - 1, -1, -1):
-                if label[index] != zero_labels[index]:
+                if label[index]:
                     deepest_nonzero = index
                     break
             if deepest_nonzero is None:
@@ -100,6 +88,17 @@ class LayeredOutdetect(OutdetectScheme):
     def label_bit_size(self, label: Label) -> int:
         return sum(scheme.label_bit_size(part)
                    for scheme, part in zip(self.level_schemes, label))
+
+    def lanes(self, label: Label) -> list[int]:
+        return [value for scheme, part in zip(self.level_schemes, label)
+                for value in scheme.lanes(part)]
+
+    def read_label(self, stored) -> Label:
+        if not isinstance(stored, tuple) or len(stored) != len(self.level_schemes):
+            raise ValueError("a layered label must hold %d levels"
+                             % len(self.level_schemes))
+        return tuple(scheme.read_label(level)
+                     for scheme, level in zip(self.level_schemes, stored))
 
     def subtree_sums(self, preorder: Sequence[Vertex],
                      last: Sequence[int]) -> list:

@@ -6,6 +6,10 @@ vertex label is the XOR of the rows of its incident edges.  XOR-ing the labels
 over a vertex set S cancels internal edges and leaves the syndrome of the
 outgoing edge set, from which up to ``k`` edge identifiers are recovered by
 syndrome decoding — deterministically.
+
+A label is one packed word of ``2k`` lanes of ``w`` bits
+(:class:`~repro.outdetect.base.MatrixLabels`), unpacked into its syndrome
+only when it is decoded.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 from repro.coding.syndrome import SyndromeEncoder
-from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops
+from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops, pack_lanes
 from repro.gf2.field import GF2m
 from repro.graphs.graph import Edge, canonical_edge
 from repro.outdetect.base import (MatrixLabels, OutdetectDecodeError, OutdetectScheme,
                                   raise_deferred)
 
 Vertex = Hashable
-Label = tuple
+Label = int
 
 
 class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
@@ -50,12 +54,7 @@ class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
     def __init__(self, field: GF2m, threshold: int, vertices: Iterable[Vertex],
                  edge_ids: Mapping[Edge, int], adaptive: bool = True,
                  bulk: BulkOps | None = None):
-        self.field = field
-        self.threshold = threshold
-        self.adaptive = adaptive
-        self.bulk = bulk if bulk is not None else get_bulk_ops(field)
-        self._encoder = SyndromeEncoder(field, threshold, bulk=self.bulk)
-        self._decoder = SparseRecoveryDecoder(field, threshold, bulk=self.bulk)
+        self._set_parameters(field, threshold, adaptive, bulk)
         self.edge_ids = dict(edge_ids)
         self._build_labels(list(vertices))
 
@@ -73,15 +72,21 @@ class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
         if threshold < 1:
             raise ValueError("decoding threshold must be >= 1, got %d" % threshold)
         scheme = cls.__new__(cls)
-        scheme.field = field
-        scheme.threshold = threshold
-        scheme.adaptive = adaptive
-        scheme.bulk = bulk if bulk is not None else get_bulk_ops(field)
-        scheme._encoder = SyndromeEncoder(field, threshold, bulk=scheme.bulk)
-        scheme._decoder = SparseRecoveryDecoder(field, threshold, bulk=scheme.bulk)
+        scheme._set_parameters(field, threshold, adaptive, bulk)
         scheme.edge_ids = {}
         scheme._adopt_matrix([], [])
         return scheme
+
+    def _set_parameters(self, field: GF2m, threshold: int, adaptive: bool,
+                        bulk: BulkOps | None) -> None:
+        self.field = field
+        self.threshold = threshold
+        self.adaptive = adaptive
+        self.lane_count = 2 * threshold
+        self.lane_bits = field.width
+        self.bulk = bulk if bulk is not None else get_bulk_ops(field)
+        self._encoder = SyndromeEncoder(field, threshold, bulk=self.bulk)
+        self._decoder = SparseRecoveryDecoder(field, threshold, bulk=self.bulk)
 
     @classmethod
     def from_label_matrix(cls, field: GF2m, threshold: int, vertices: Iterable[Vertex],
@@ -133,28 +138,12 @@ class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
 
     # ------------------------------------------------------------ OutdetectScheme
 
-    def zero_label(self) -> Label:
-        return tuple(self._encoder.zero())
-
-    def combine(self, first: Label, second: Label) -> Label:
-        if len(first) != len(second):
-            raise ValueError("labels of different lengths cannot be combined")
-        return tuple(a ^ b for a, b in zip(first, second))
-
-    def combine_all(self, labels) -> Label:
-        labels = list(labels)
-        if not labels:
-            return self.zero_label()
-        total = list(labels[0])
-        self.bulk.xor_accumulate(total, labels[1:])
-        return tuple(total)
-
     def decode(self, label: Label) -> list[int]:
         return raise_deferred(self.decode_many([label])[0])
 
     def decode_many(self, labels) -> list:
         entries = self._decoder.decode_many_deferred(
-            [list(label) for label in labels], adaptive=self.adaptive)
+            [self.lanes(label) for label in labels], adaptive=self.adaptive)
         results: list = []
         for entry in entries:
             if isinstance(entry, DecodeFailure):
@@ -165,12 +154,10 @@ class RSThresholdOutdetect(MatrixLabels, OutdetectScheme):
                 results.append(entry)
         return results
 
-    def label_bit_size(self, label: Label) -> int:
-        return len(label) * self.field.width
-
     # ------------------------------------------------------------------ misc
 
     def syndrome_of_edge_set(self, edges: Iterable[Edge]) -> Label:
-        """Syndrome of an explicit edge set (testing and validation helper)."""
+        """Syndrome of an explicit edge set, as a label (testing and
+        validation helper)."""
         identifiers = [self.edge_ids[canonical_edge(u, v)] for u, v in edges]
-        return tuple(self._encoder.syndrome_of(identifiers))
+        return pack_lanes(self._encoder.syndrome_of(identifiers), self.lane_bits)

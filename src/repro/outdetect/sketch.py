@@ -11,6 +11,7 @@ valid extended identifier (the fingerprint checks out), which happens with
 constant probability per repetition at the sampling level matching the cut
 size — hence ``O(log n)`` repetitions give success with high probability, and
 ``O(f log n)`` repetitions give the "full query support" variant of [DP21].
+A label is one packed word with a lane of ``id_bits + 32`` bits per cell.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import hashlib
 from typing import Hashable, Iterable, Mapping
 
-from repro.gf2.bulk import BulkOps, get_bulk_ops
+from repro.gf2.bulk import BulkOps, Matrix, get_bulk_ops
 from repro.graphs.graph import Edge
 from repro.outdetect.base import MatrixLabels, OutdetectDecodeError, OutdetectScheme
 
 Vertex = Hashable
-Label = tuple
+Label = int
 
 _FINGERPRINT_BITS = 32
 
@@ -61,11 +62,7 @@ class SketchOutdetect(MatrixLabels, OutdetectScheme):
                                       repetitions=repetitions)
         self.num_levels = geometry["num_levels"]
         self.repetitions = geometry["repetitions"]
-        self.seed = seed
-        self.id_bits = geometry["id_bits"]
-        self._cells = self.num_levels * self.repetitions
-        self.bulk = bulk if bulk is not None else get_bulk_ops(
-            None, max_bits=self.id_bits + _FINGERPRINT_BITS)
+        self._set_parameters(seed, geometry["id_bits"], bulk)
         self._build_labels(list(vertices))
 
     @classmethod
@@ -109,17 +106,21 @@ class SketchOutdetect(MatrixLabels, OutdetectScheme):
         scheme.edge_ids = {}
         scheme.num_levels = num_levels
         scheme.repetitions = repetitions
-        scheme.seed = seed
-        scheme.id_bits = id_bits
-        scheme._cells = scheme.num_levels * scheme.repetitions
-        scheme.bulk = bulk if bulk is not None else get_bulk_ops(
-            None, max_bits=scheme.id_bits + _FINGERPRINT_BITS)
+        scheme._set_parameters(seed, id_bits, bulk)
         scheme._adopt_matrix([], [])
         return scheme
 
+    def _set_parameters(self, seed: int, id_bits: int, bulk: BulkOps | None) -> None:
+        self.seed = seed
+        self.id_bits = id_bits
+        self.lane_count = self.num_levels * self.repetitions
+        self.lane_bits = id_bits + _FINGERPRINT_BITS
+        self.bulk = bulk if bulk is not None else get_bulk_ops(
+            None, max_bits=self.lane_bits)
+
     @classmethod
     def from_label_matrix(cls, vertices: Iterable[Vertex],
-                          edge_ids: Mapping[Edge, int], matrix: list, *,
+                          edge_ids: Mapping[Edge, int], matrix: Matrix, *,
                           num_levels: int, repetitions: int, seed: int,
                           id_bits: int,
                           bulk: BulkOps | None = None) -> "SketchOutdetect":
@@ -135,7 +136,7 @@ class SketchOutdetect(MatrixLabels, OutdetectScheme):
         scheme._adopt_matrix(vertices, matrix)
         return scheme
 
-    def label_matrix(self, vertices: list, edge_items: list) -> list:
+    def label_matrix(self, vertices: list, edge_items: list) -> Matrix:
         """Partial label matrix of one edge slice, aligned with ``vertices``.
 
         ``edge_items`` is a sequence of ``((u, v), identifier)`` pairs — any
@@ -159,7 +160,7 @@ class SketchOutdetect(MatrixLabels, OutdetectScheme):
                 col_indices.append(cell)
                 values.append(extended)
                 values.append(extended)
-        return self.bulk.scatter_xor(len(vertices), self._cells,
+        return self.bulk.scatter_xor(len(vertices), self.lane_count,
                                      row_indices, col_indices, values)
 
     def _build_labels(self, vertices: list) -> None:
@@ -193,30 +194,15 @@ class SketchOutdetect(MatrixLabels, OutdetectScheme):
 
     # ------------------------------------------------------------ OutdetectScheme
 
-    def zero_label(self) -> Label:
-        return tuple([0] * self._cells)
-
-    def combine(self, first: Label, second: Label) -> Label:
-        if len(first) != len(second):
-            raise ValueError("sketch labels of different sizes cannot be combined")
-        return tuple(a ^ b for a, b in zip(first, second))
-
-    def combine_all(self, labels) -> Label:
-        labels = list(labels)
-        if not labels:
-            return self.zero_label()
-        total = list(labels[0])
-        self.bulk.xor_accumulate(total, labels[1:])
-        return tuple(total)
-
     def decode(self, label: Label) -> list[int]:
-        if all(value == 0 for value in label):
+        if not label:
             return []
+        cells = self.lanes(label)
         found: list[int] = []
         # Prefer sparser levels (higher level index) where a single survivor is likely.
         for level in range(self.num_levels - 1, -1, -1):
             for repetition in range(self.repetitions):
-                value = label[repetition * self.num_levels + level]
+                value = cells[repetition * self.num_levels + level]
                 if value == 0:
                     continue
                 identifier = value >> _FINGERPRINT_BITS
@@ -228,6 +214,3 @@ class SketchOutdetect(MatrixLabels, OutdetectScheme):
                 return found
         raise OutdetectDecodeError(
             "sketch decoding failed: no cell holds a single valid edge identifier")
-
-    def label_bit_size(self, label: Label) -> int:
-        return len(label) * (self.id_bits + _FINGERPRINT_BITS)

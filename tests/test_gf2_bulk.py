@@ -19,7 +19,8 @@ from repro.api import Oracle
 from repro.gf2 import bulk as bulk_module
 from repro.gf2.bulk import (LANES_PER_ROW, NUMPY_MAX_WIDTH, SMALL_ROWS,
                             BackendUnavailable, NumpyBulkOps, PyBulkOps,
-                            available_backends, get_bulk_ops, numpy_available)
+                            available_backends, get_bulk_ops, numpy_available,
+                            pack_lanes, unpack_lanes)
 from repro.gf2.field import GF2m
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
 from repro.outdetect.sketch import SketchOutdetect
@@ -91,10 +92,13 @@ def test_pow_range_is_consecutive_powers(width):
 
 def _power_rows(backend, bases, count):
     """``[x, ..., x^count]`` for every base, through the label build's
-    ``scatter_pow_rows`` (one matrix row per base) and read back as lists."""
+    ``scatter_pow_rows`` (one matrix row per base), read back as packed
+    words and unpacked."""
+    width = backend.field.width
     matrix = backend.scatter_pow_rows(len(bases), count, bases,
                                       [list(range(len(bases)))])
-    return [list(backend.matrix_row(matrix, index)) for index in range(len(bases))]
+    return [unpack_lanes(backend.matrix_row(matrix, index, width), count, width)
+            for index in range(len(bases))]
 
 
 @needs_numpy
@@ -173,7 +177,6 @@ def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
         matrix = backend.pow_range_many(bases, powers)
         assert matrix == PyBulkOps(field).pow_range_many(bases, powers)
         backend.scatter_xor_rows(2, powers, [index % 2 for index in range(rows)], matrix)
-        backend.xor_accumulate([0] * powers, matrix)
         lanes = bases * LANES_PER_ROW
         backend.mul_many(lanes, lanes)
         backend.mul_many(lanes, bases[0])
@@ -192,7 +195,7 @@ def test_calls_reach_the_array_kernels_from_small_cutoff_rows(monkeypatch):
     assert build_requests(NumpyBulkOps(field, small_cutoff=0), 1) == 2
 
 
-def test_xor_accumulate_and_scatter_agree_across_backends():
+def test_scatter_agrees_across_backends():
     rng = random.Random(7)
     rows = [[rng.randrange(0, 1 << 60) for _ in range(5)] for _ in range(30)]
     indices = [rng.randrange(0, 6) for _ in range(30)]
@@ -201,23 +204,40 @@ def test_xor_accumulate_and_scatter_agree_across_backends():
     values = [rng.randrange(0, 1 << 60) for _ in range(50)]
     results = []
     for backend in _backends(None):
-        target = [0] * 5
-        backend.xor_accumulate(target, rows)
         matrix = backend.scatter_xor_rows(6, 5, indices, rows)
-        cells = backend.scatter_xor(6, 5, row_idx, col_idx, values)
-        results.append((target, matrix, cells))
+        # The numpy kernel's cells are a uint64 label matrix.
+        cells = [[int(value) for value in row]
+                 for row in backend.scatter_xor(6, 5, row_idx, col_idx, values)]
+        results.append((matrix, cells))
     assert all(result == results[0] for result in results[1:])
-    # Plain-Python reference for the accumulate.
-    expected = [0] * 5
-    for row in rows:
-        expected = [a ^ b for a, b in zip(expected, row)]
+    # Plain-Python reference for the row scatter.
+    expected = [[0] * 5 for _ in range(6)]
+    for index, row in zip(indices, rows):
+        expected[index] = [a ^ b for a, b in zip(expected[index], row)]
     assert results[0][0] == expected
 
 
-def test_xor_accumulate_rejects_length_mismatch():
-    for backend in _backends(None):
-        with pytest.raises(ValueError):
-            backend.xor_accumulate([0, 0], [[1, 2, 3]])
+@pytest.mark.parametrize("bits", [1, 8, 22, 24, 33, 64, 100])
+def test_packed_words_hold_one_value_per_little_endian_lane(bits):
+    """Lane i of a packed word is the i-th run of ceil(bits/8) bytes of the
+    int's little-endian bytes; unpacking inverts packing, a word too wide
+    for its lanes raises, and the empty word is 0."""
+    size = -(-bits // 8)
+    rng = random.Random(bits)
+    values = [0] + [rng.getrandbits(bits) for _ in range(30)] + [(1 << bits) - 1]
+    word = pack_lanes(values, bits)
+    data = word.to_bytes(len(values) * size, "little")
+    assert [int.from_bytes(data[i * size:(i + 1) * size], "little")
+            for i in range(len(values))] == values
+    assert unpack_lanes(word, len(values), bits) == values
+    assert unpack_lanes(word, len(values) + 3, bits) == values + [0, 0, 0]
+    with pytest.raises(OverflowError):
+        unpack_lanes(word, len(values) - 1, bits)
+    with pytest.raises(OverflowError):
+        pack_lanes([1 << (8 * size)], bits)
+    with pytest.raises(OverflowError):
+        pack_lanes([-1], bits)
+    assert pack_lanes([], bits) == 0 and unpack_lanes(0, 0, bits) == []
 
 
 def test_xor_only_backend_has_no_field_ops():
@@ -283,7 +303,9 @@ def test_rs_scheme_labels_bit_identical_across_backends():
         # The numpy scheme keeps its labels in a uint64 array; what it hands
         # out must still be Python ints, which GF2m arithmetic expects.
         for scheme in (py_scheme, np_scheme):
-            assert all(type(value) is int for value in scheme.label_of(vertex))
+            assert type(scheme.label_of(vertex)) is int
+            assert all(type(value) is int
+                       for value in scheme.lanes(scheme.label_of(vertex)))
     sample = [py_scheme.label_of(vertex) for vertex in vertices[:6]]
     assert py_scheme.combine_all(sample) == np_scheme.combine_all(sample)
 
@@ -359,26 +381,32 @@ def _label_matrices(rows):
 
 def check_subtree_xor_parity():
     """Check ``subtree_xor`` of every backend against the XOR of each
-    subtree's rows; returns the names of the backends checked."""
+    subtree's rows, packed in 22-bit (three-byte) and 64-bit lanes, and
+    ``matrix_row`` against each row; returns the names of the backends
+    checked."""
     rng = random.Random(12)
-    extremes = [0, (1 << 22) - 1, (1 << 64) - 1]
     checked = set()
     for children in _scan_trees():
         order, last = _preorder(children)
         for length in SCAN_ROW_LENGTHS:
-            rows = [[rng.choice(extremes + [rng.getrandbits(64)]) for _ in range(length)]
-                    for _ in order]
-            expected = []
-            for position in range(len(order)):
-                total = [0] * length
-                for vertex in order[position:last[position] + 1]:
-                    total = [a ^ b for a, b in zip(total, rows[vertex])]
-                expected.append(tuple(total))
-            for backend, matrix in _label_matrices(rows):
-                sums = backend.subtree_xor(matrix, order, last)
-                assert sums == expected, (backend.name, len(order), length)
-                assert all(type(value) is int for total in sums for value in total)
-                checked.add(backend.name)
+            for bits in (22, 64):
+                extremes = [0, (1 << 22) - 1, (1 << bits) - 1]
+                rows = [[rng.choice(extremes + [rng.getrandbits(bits)])
+                         for _ in range(length)] for _ in order]
+                expected = []
+                for position in range(len(order)):
+                    total = [0] * length
+                    for vertex in order[position:last[position] + 1]:
+                        total = [a ^ b for a, b in zip(total, rows[vertex])]
+                    expected.append(pack_lanes(total, bits))
+                for backend, matrix in _label_matrices(rows):
+                    sums = backend.subtree_xor(matrix, order, last, bits)
+                    assert sums == expected, (backend.name, len(order), length)
+                    assert all(type(total) is int for total in sums)
+                    assert [backend.matrix_row(matrix, row, bits)
+                            for row in range(len(rows))] == \
+                        [pack_lanes(row, bits) for row in rows]
+                    checked.add(backend.name)
     return checked
 
 
@@ -493,7 +521,7 @@ def test_numpy_is_imported_by_the_first_call_past_the_crossover():
         import sys
 
         from repro.gf2 import GF2m, NumpyBulkOps, PyBulkOps
-        from repro.gf2.bulk import SMALL_ROWS
+        from repro.gf2.bulk import SMALL_ROWS, unpack_lanes
 
         assert "numpy" not in sys.modules, "importing repro.gf2 loaded numpy"
         field = GF2m(16)
@@ -503,14 +531,14 @@ def test_numpy_is_imported_by_the_first_call_past_the_crossover():
         rows = backend.pow_range_many(bases, 16)
         assert rows == python.pow_range_many(bases, 16)
         backend.scatter_xor_rows(4, 16, [base % 4 for base in bases], rows)
-        backend.xor_accumulate([0] * 16, rows)
         backend.mul_many(bases, bases)
         assert "numpy" not in sys.modules, "a decode call loaded numpy"
 
         def level(edges):
             matrix = backend.scatter_pow_rows(edges, 146, bases[:edges],
                                               [list(range(edges))])
-            return [list(backend.matrix_row(matrix, row)) for row in range(edges)]
+            return [unpack_lanes(backend.matrix_row(matrix, row, 16), 146, 16)
+                    for row in range(edges)]
 
         expected = python.pow_range_many(bases[:SMALL_ROWS], 146)
         assert level(SMALL_ROWS - 1) == expected[:-1]

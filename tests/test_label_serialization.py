@@ -12,10 +12,7 @@ from repro.core import FTCConfig, FTCLabeling, FTCSnapshot, SchemeVariant
 from repro.labeling.ancestry import AncestryLabel
 from repro.workloads import GraphFamily, make_graph
 
-try:
-    import numpy
-except ImportError:  # the bulk writer falls back to the scalar one
-    numpy = None
+from label_payloads import v1_edge_blob, v1_levels
 
 # ---------------------------------------------------------------- primitives
 
@@ -115,11 +112,7 @@ def test_deserialized_labels_answer_queries():
             graph.connected(s, t, removed=faults)
 
 
-# ------------------------------------------------------- bulk edge-label writer
-#
-# EdgeLabel.to_bytes_many encodes the outdetect trees of many labels in one
-# numpy pass; to_bytes stays the reference, and also the fallback when numpy
-# is not importable or a leaf lies outside [0, 2**64).
+# ------------------------------------------------------- payload versions
 
 
 @pytest.fixture(params=["numpy", "numpy-blocked"])
@@ -136,80 +129,85 @@ def _edge_label(tree, bits=0):
                      outdetect_subtree_sum=tree, outdetect_bits=bits)
 
 
-def _leaves(tree):
-    if isinstance(tree, int):
-        return [tree]
-    return [leaf for child in tree for leaf in _leaves(child)]
+def test_version_2_writes_each_int_node_as_its_shortest_little_endian_bytes():
+    out = bytearray()
+    serialize.write_label_tree((0, 1, (1 << 24) + 5, ()), out)
+    assert bytes(out) == bytes([0x01, 4,
+                                0x02, 0,
+                                0x02, 1, 0x01,
+                                0x02, 4, 0x05, 0x00, 0x00, 0x01,
+                                0x01, 0])
+    data = _edge_label((7, 1 << 100), bits=300).to_bytes()
+    assert data[len(serialize.MAGIC)] == serialize.FORMAT_VERSION == 2
 
 
-def _assert_bulk_matches_scalar(labels):
-    assert EdgeLabel.to_bytes_many(labels) == [label.to_bytes() for label in labels]
-
-
-@pytest.mark.parametrize("variant", list(SchemeVariant))
-def test_to_bytes_many_matches_to_bytes_for_every_variant(variant, numpy_state):
+@pytest.mark.parametrize("variant", [SchemeVariant.DETERMINISTIC_NEARLINEAR,
+                                     SchemeVariant.RANDOMIZED_FULL,
+                                     SchemeVariant.SKETCH_WHP])
+def test_version_1_payloads_read_back_as_elements_and_pack_to_the_label(variant):
+    """A version-1 payload (LEB128 element trees) reads back as stored, and
+    the scheme's ``read_label`` packs it into the label the build made."""
     graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
     labeling = FTCLabeling(graph, FTCConfig(max_faults=2, variant=variant))
-    labels = list(labeling.all_edge_labels().values())
-    _assert_bulk_matches_scalar(labels)
-    bulk = serialize.encode_label_trees(
-        [label.outdetect_subtree_sum for label in labels])
-    assert (bulk is None) == (numpy is None or numpy_state == "numpy-blocked")
+    outdetect = labeling.outdetect
+    for label in labeling.all_edge_labels().values():
+        tree = v1_levels(outdetect, label)
+        stored = EdgeLabel.from_bytes(v1_edge_blob(label, tree))
+        assert stored.outdetect_subtree_sum == tree
+        assert stored.outdetect_bits == label.outdetect_bits
+        assert outdetect.read_label(stored.outdetect_subtree_sum) == \
+            label.outdetect_subtree_sum
+        assert outdetect.read_label(label.outdetect_subtree_sum) == \
+            label.outdetect_subtree_sum
 
 
-@pytest.mark.parametrize("trees", [
-    [],
-    [0, 1, 127, 128, (), ((),)],                      # root ints, empty tuples
-    [(0,), (0, 1, 127), (128, 16383, 16384)],         # one- and two-byte leaves
-    [((), (1, 2), ()), ((5,), (), (6, 7, 8))],         # empty levels
-    [(1, (2, 3), 4, ((5,), 6))],                      # ints beside tuples
-    [(2**63 - 1, 2**63, 2**64 - 1), (1,)],            # widest uint64 leaves
-    [(3, 4), (2**64, 5)],                             # 2**64: scalar fallback
-    [((1,), (2**200,))],
-], ids=["empty", "roots", "small", "empty-levels", "mixed", "uint64",
-        "fallback", "fallback-nested"])
-def test_to_bytes_many_matches_to_bytes_on_edge_cases(trees, numpy_state):
-    _assert_bulk_matches_scalar([_edge_label(tree, bits=index)
-                                 for index, tree in enumerate(trees)])
+def test_each_version_reads_only_its_own_int_nodes():
+    label = _edge_label((3, 4), bits=44)
+    v2 = label.to_bytes()
+    with pytest.raises(serialize.LabelDecodeError, match="version-1 .* tag 0x02"):
+        EdgeLabel.from_bytes(v2[:4] + b"\x01" + v2[5:])
+    v1 = v1_edge_blob(label, (3, 4))
+    with pytest.raises(serialize.LabelDecodeError, match="version-2 .* tag 0x00"):
+        EdgeLabel.from_bytes(v1[:4] + b"\x02" + v1[5:])
 
 
-@pytest.mark.parametrize("bad", [(1, -1), -1, ((2,), (-3, 4))])
-def test_to_bytes_many_raises_the_scalar_error_on_a_negative_leaf(bad, numpy_state):
-    labels = [_edge_label((1, 2, 3)), _edge_label(bad)]
-    with pytest.raises(ValueError) as scalar:
-        [label.to_bytes() for label in labels]
-    with pytest.raises(ValueError) as bulk:
-        EdgeLabel.to_bytes_many(labels)
-    assert str(bulk.value) == str(scalar.value)
-
-
-def test_to_bytes_many_raises_the_scalar_error_on_a_foreign_leaf(numpy_state):
-    labels = [_edge_label((1, 2)), _edge_label((1, 2.5))]
-    with pytest.raises(TypeError, match="only ints and tuples"):
-        EdgeLabel.to_bytes_many(labels)
-
-
-@given(st.lists(label_trees, max_size=6))
-@settings(max_examples=150)
-def test_bulk_tree_encoding_matches_write_label_tree(trees):
-    expected = []
-    for tree in trees:
-        out = bytearray()
-        serialize.write_label_tree(tree, out)
-        expected.append(bytes(out))
-    encoded = serialize.encode_label_trees(trees)
-    if numpy is None or any(leaf >= 1 << 64 for tree in trees for leaf in _leaves(tree)):
-        assert encoded is None
-    else:
-        assert encoded == expected
-    _assert_bulk_matches_scalar([_edge_label(tree) for tree in trees])
-
-
-def test_snapshot_writer_mixes_label_objects_with_lazy_blobs(numpy_state):
-    """Decoded labels, lazy ``bytes`` blobs and mmap-style ``memoryview``
-    blobs in one snapshot re-serialize to the original bytes."""
+def test_read_label_rejects_what_does_not_fit_the_scheme():
+    """A level of the wrong length, a word wider than its lanes, a lane
+    holding more than a field element, and a wrong depth are ValueErrors."""
     graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
-    data = FTCLabeling(graph, FTCConfig(max_faults=2)).to_snapshot_bytes()
+    outdetect = FTCLabeling(graph, FTCConfig(max_faults=2)).outdetect
+    scheme = outdetect.level_schemes[0]
+    elements = [1] * scheme.lane_count
+    assert scheme.read_label(tuple(elements)) == scheme.read_label(
+        scheme.read_label(tuple(elements)))
+    for bad in (tuple(elements[:-1]), tuple(elements + [1]),
+                tuple(elements[:-1] + [1 << scheme.lane_bits]),
+                tuple(elements[:-1] + [-1]), tuple(elements[:-1] + [(1,)]),
+                1 << (scheme.lane_count * 8 * -(-scheme.lane_bits // 8)),
+                1 << scheme.lane_bits, -1, None):
+        with pytest.raises(ValueError):
+            scheme.read_label(bad)
+    zero = outdetect.zero_label()
+    assert outdetect.read_label(zero) == zero
+    for bad in (zero[:-1], zero + (0,), 0, list(zero)):
+        with pytest.raises(ValueError):
+            outdetect.read_label(bad)
+
+
+@pytest.fixture(scope="module")
+def er24_snapshot():
+    """Built once per module, so before ``numpy_state`` blocks numpy: a
+    build sharded across processes gets its shard matrices back as numpy
+    arrays."""
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=24, seed=5)
+    return FTCLabeling(graph, FTCConfig(max_faults=2)).to_snapshot_bytes()
+
+
+def test_snapshot_writer_mixes_label_objects_with_lazy_blobs(er24_snapshot, numpy_state):
+    """Decoded labels, lazy ``bytes`` blobs and mmap-style ``memoryview``
+    blobs in one snapshot re-serialize to the original bytes, with or
+    without numpy."""
+    data = er24_snapshot
     decoded = FTCSnapshot.from_bytes(data)
     mixed = FTCSnapshot.from_bytes(data, decode_labels=False)
     for index, (edge, blob) in enumerate(mixed.edge_labels.items()):

@@ -10,6 +10,7 @@ from repro.core import FTCConfig, FTCLabeling, QueryFailure
 from repro.core.labels import EdgeLabel, VertexLabel
 from repro.core.query import ROOT_FRAGMENT, BasicQueryEngine, FragmentStructure
 from repro.core.fast_query import FastQueryEngine
+from repro.gf2.bulk import pack_lanes
 from repro.graphs import Graph, bfs_spanning_tree, canonical_edge
 from repro.graphs.fragments import fragment_index_of
 from repro.labeling import AncestryLabel
@@ -175,8 +176,9 @@ def test_corrupted_fault_label_is_detected_or_harmless():
     faults = edges[:2]
     genuine = [labeling.edge_label(u, v) for u, v in faults]
     corrupted_sum = tuple(
-        tuple(word ^ 0b1011 for word in level) if isinstance(level, tuple) else level
-        for level in genuine[0].outdetect_subtree_sum)
+        pack_lanes([value ^ 0b1011 for value in scheme.lanes(level)], scheme.lane_bits)
+        for scheme, level in zip(labeling.outdetect.level_schemes,
+                                 genuine[0].outdetect_subtree_sum))
     corrupted = EdgeLabel(ancestry_upper=genuine[0].ancestry_upper,
                           ancestry_lower=genuine[0].ancestry_lower,
                           outdetect_subtree_sum=corrupted_sum,
@@ -200,8 +202,8 @@ def test_engines_reject_inconsistent_outdetect_gracefully():
     source = VertexLabel(ancestry=AncestryLabel(1, 2))
     target = VertexLabel(ancestry=AncestryLabel(3, 4))
     # A fault label whose outdetect sum is garbage (valid structure, wrong values).
-    zero = outdetect.zero_label()
-    garbage = tuple(tuple(17 for _ in level) for level in zero)
+    garbage = tuple(pack_lanes([17] * scheme.lane_count, scheme.lane_bits)
+                    for scheme in outdetect.level_schemes)
     fault = EdgeLabel(ancestry_upper=AncestryLabel(0, 9), ancestry_lower=AncestryLabel(1, 8),
                       outdetect_subtree_sum=garbage, outdetect_bits=0)
     for engine in (basic, fast):

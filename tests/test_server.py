@@ -206,6 +206,38 @@ def test_corrupt_label_payload_reports_decode_error(world):
     asyncio.run(scenario())
 
 
+def test_label_level_of_the_wrong_length_reports_decode_error(world):
+    """A version-1 edge label whose top level holds 2k - 1 field elements is
+    corrupt data, reported as ``label-decode-failed`` (it reached the
+    decoder as a wrong-length syndrome, ``over-budget``, before the label
+    was checked on its first read)."""
+    from repro.core.labels import EdgeLabel
+    from repro.core.snapshot import FTCSnapshot
+
+    from label_payloads import v1_edge_blob, v1_levels
+
+    graph, data = world
+    lazy = FTCSnapshot.from_bytes(data, decode_labels=False)
+    oracle = load_snapshot(data)
+    edge = next(iter(lazy.edge_labels))
+    levels = v1_levels(oracle.outdetect, EdgeLabel.from_bytes(lazy.edge_labels[edge]))
+    lazy.edge_labels[edge] = v1_edge_blob(EdgeLabel.from_bytes(lazy.edge_labels[edge]),
+                                          (levels[0][:-1],) + levels[1:])
+    poisoned = load_snapshot(lazy.to_bytes())
+    source, target = sorted(graph.vertices())[:2]
+
+    async def scenario():
+        server = await _start(poisoned)
+        client = await AsyncQueryClient.connect(server.host, server.port)
+        with pytest.raises(ServerError) as caught:
+            await client.connected(source, target, faults=[edge])
+        assert caught.value.code == protocol.E_DECODE
+        await client.close()
+        await server.close()
+
+    asyncio.run(scenario())
+
+
 def test_ping_and_stats_ops(oracle):
     async def scenario():
         server = await _start(oracle)

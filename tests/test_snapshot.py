@@ -18,20 +18,25 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core import (FTCConfig, FTCLabeling, FTCSnapshot, FTConnectivityOracle,
                         RehydratedOracle, SchemeVariant, load_snapshot)
+from repro.core.labels import EdgeLabel
 from repro.core.serialize import LabelDecodeError
 from repro.core.snapshot import (OutdetectDescriptor, SNAPSHOT_MAGIC,
                                  SNAPSHOT_VERSION_V2, build_decode_outdetect,
                                  read_svarint, read_vertex_key,
                                  upgrade_snapshot_file, write_svarint,
                                  write_vertex_key)
+from repro.gf2.bulk import lane_bytes
 from repro.outdetect.rs_threshold import RSThresholdOutdetect
 from repro.outdetect.sketch import SketchOutdetect
 from repro.workloads import FaultModel, GraphFamily, make_graph, make_query_workload
+
+from label_payloads import v1_edge_blob, v1_levels
 
 FAMILIES = [GraphFamily.ERDOS_RENYI, GraphFamily.GRID, GraphFamily.TREE_PLUS_CHORDS]
 
@@ -129,24 +134,24 @@ def test_snapshot_dataclass_round_trip():
 
 
 #: sha256 of the v1 and v2 snapshot bytes of ER n=48, seed 7, f=3, per
-#: variant, as the per-label scalar writer produced them.  They hold on every
-#: GF backend and with numpy absent.
+#: variant, with label payload version 2 (one packed word per outdetect
+#: level).  They hold on every GF backend and with numpy absent.
 GOLDEN_SNAPSHOT_SHA256 = {
     SchemeVariant.DETERMINISTIC_NEARLINEAR: (
-        "e5f42787c82e46d2d66f7b95b0fb9b83d313bdbe06858ad4658bcc5ff27b56b8",
-        "f387029ef51f9b13426b6a814a9d41452f1522a66f355ff1c06ac0e2bca1c111"),
+        "8f95eb35c74754e6651404907813215fd2dfa64d1b06833bcbec4a56f5434833",
+        "906730c70cecf9f5cac409ca6aef947a0b405f72c771d30e79daf1fcd5c5d1bb"),
     SchemeVariant.DETERMINISTIC_POLY: (
-        "f694290e9027a525d47ed73ea9141cca2b6d8a4ba5bf2b33c41a7bd919c90a89",
-        "f4e30ff5d7b00549aa8f92e2d5b030928bd50bab565a2c285afd605b28da036e"),
+        "dcf457147b6571659fdbdf6675fc3332b9359b01cf78ee0d7401330e12fcea2e",
+        "bd14a7bf33cba801f0c764eafb09c9f02036bc3755a36b137cfb7a4d0b8084dc"),
     SchemeVariant.RANDOMIZED_FULL: (
-        "ef49686384af2b5296878bd977a93f6f8ec62c24f7dc0188b5edbcd2e09271ab",
-        "6c8b0ec7d0b8da8532977bf7057449e3fb08576f2cf33cc91fac6687ef425447"),
+        "f3f7b0ddc17eca561b8b8f45595bd32e3db725a62bf0225f7bfc11ee84a6dbb5",
+        "9845305958b3698eb70df7b77bcbdf2e8f7bdb499f306cdcc5349e7cdba41be1"),
     SchemeVariant.SKETCH_WHP: (
-        "6e9b74bb78f910d16a89e364e26a220ea42b5160e4b267c393993c68191ba080",
-        "a1f7f2534837319b6e104d9683e199b460a1f7cfe55bc9d4a4116dcaf1e513ef"),
+        "7d3ba7908c03f71cf6ca6a2ebab33876fa4829b1a8017f32b9ccab6cac974e73",
+        "db5c27fe8771518182c6fd9e4b4dab22941079c335d92f0b245df788eb011b33"),
     SchemeVariant.SKETCH_FULL: (
-        "bebd9b534e0404e7e76d1af6fdf3180fa7a0b1931b3277797801d35bdabce612",
-        "d5b39e7b52c983af459d91e17c420501938888fb76276d12ce2327e6e2a97611"),
+        "bc53ecd85347399a4a8d585ac2b39f10c8a239a4755d18fb60b66ec81f53ef3c",
+        "9275e7ee7eac4621fc14b75495ca611f6a47289b5758d1ff28c65cac3fa19f5e"),
 }
 
 
@@ -199,6 +204,72 @@ def test_rehydrated_budget_and_membership_errors():
     # Restating the same fault twice stays within the deduplicated budget.
     assert oracle.connected(vertices[0], vertices[1], [edges[0], edges[0]]) == \
         labeling.connected(vertices[0], vertices[1], [edges[0], edges[0]])
+
+
+#: Snapshots written before label payload version 2, so every label blob in
+#: them is a version-1 payload (LEB128 element trees): file under
+#: ``tests/data``, its sha256, and the variant and size of the ER graph
+#: (seed 5, f = 2) it labels.
+PAYLOAD_V1_SNAPSHOTS = [
+    ("payload-v1-er24-f2.ftcs",
+     "df385a82c9a31328a5797347144004d1d3f74c25bba2258fab6b78f523165336",
+     SchemeVariant.DETERMINISTIC_NEARLINEAR, 24),
+    ("payload-v1-sketch-er16-f2.ftcs",
+     "2a8fe3864c992e5b60e2395a2e9e2b7c95f14cf6f54dc703e1bb0ffb52d9de8f",
+     SchemeVariant.SKETCH_WHP, 16),
+]
+
+
+@pytest.mark.parametrize("name,digest,variant,n", PAYLOAD_V1_SNAPSHOTS,
+                         ids=[entry[0] for entry in PAYLOAD_V1_SNAPSHOTS])
+def test_version_1_payload_snapshot_answers_like_a_fresh_build(name, digest, variant,
+                                                               n, tmp_path):
+    """A snapshot of version-1 payloads loads through every path, packs each
+    label on its first read into the label a fresh build makes, and answers
+    a seeded panel exactly as the fresh build does."""
+    path = Path(__file__).parent / "data" / name
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=n, seed=5)
+    fresh = FTCLabeling(graph, FTCConfig(max_faults=2, variant=variant))
+    workload = make_query_workload(graph, num_queries=40, max_faults=2,
+                                   model=FaultModel.TREE_BIASED, seed=17)
+    expected = _answers(fresh, workload.queries)
+    upgraded = tmp_path / "upgraded.ftcs"
+    upgrade_snapshot_file(path, upgraded)  # the mmap layout, blobs verbatim
+    for oracle in (load_snapshot(path), load_snapshot(data), load_snapshot(upgraded),
+                   FTCSnapshot.from_bytes(data).rehydrate()):
+        assert _answers(oracle, workload.queries) == expected
+        for edge in sorted(graph.edges()):
+            assert oracle.edge_label(*edge) == fresh.edge_label(*edge)
+        oracle.close()
+
+
+def test_a_level_that_does_not_fit_its_lanes_fails_on_first_read():
+    """An edge label whose level holds 2k - 1 elements (version 1) or a word
+    past its 2k lanes (version 2) is corrupt data: reading it raises
+    LabelDecodeError, before any decoder sees it."""
+    graph = make_graph(GraphFamily.ERDOS_RENYI, n=30, seed=41)
+    labeling = FTCLabeling(graph, FTCConfig(max_faults=2))
+    outdetect = labeling.outdetect
+    top = outdetect.level_schemes[0]
+    edges = sorted(graph.edges())
+    label = labeling.edge_label(*edges[0])
+    short = (v1_levels(outdetect, label)[0][:-1],) + v1_levels(outdetect, label)[1:]
+    past_lanes = 1 << (8 * lane_bytes(top.lane_bits) * top.lane_count)
+    wide = (label.outdetect_subtree_sum[0] | past_lanes,) + label.outdetect_subtree_sum[1:]
+    for blob in (v1_edge_blob(label, short),
+                 EdgeLabel(label.ancestry_upper, label.ancestry_lower, wide,
+                           label.outdetect_bits).to_bytes()):
+        lazy = FTCSnapshot.from_bytes(labeling.to_snapshot_bytes(), decode_labels=False)
+        lazy.edge_labels[edges[0]] = blob
+        oracle = load_snapshot(lazy.to_bytes())
+        with pytest.raises(LabelDecodeError, match="does not fit"):
+            oracle.edge_label(*edges[0])
+        with pytest.raises(LabelDecodeError, match="does not fit"):
+            oracle.connected(0, 1, [edges[0]])
+        with pytest.raises(LabelDecodeError, match="does not fit"):
+            FTCSnapshot.from_bytes(lazy.to_bytes()).rehydrate()
 
 
 # ------------------------------------------------------------ vertex keys
