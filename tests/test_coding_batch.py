@@ -4,13 +4,10 @@ Each scalar/batched pair of the decode pipeline keeps one body, and the other
 member calls into it, so comparing the two members would pass by
 construction.  These tests check each primitive against independent truth
 instead — power sums from field arithmetic, the locator prod(1 - x z) and the
-roots of a known support, the support a syndrome came from — across field
-widths, including which failure each undecodable entry raises.  The batch
-session and the outdetect schemes route all decoding through these
-functions.  They run on :class:`~repro.gf2.bulk.PyBulkOps`: every backend
-decodes on its Python kernels (``NumpyBulkOps`` inherits each decode-side
-method, which ``tests/test_gf2_bulk.py`` checks by refusing numpy to every
-decode call).
+roots of a known support, the support a syndrome came from — across
+:class:`~repro.gf2.bulk.BulkOps` backends and field widths, including which
+failure each undecodable entry raises.  The batch session and the outdetect
+schemes route all decoding through these functions.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from repro.coding.berlekamp_massey import berlekamp_massey_many
 from repro.coding.rootfind import chien_roots, find_roots, find_roots_many
 from repro.coding.rs_decoder import DecodeFailure, SparseRecoveryDecoder
 from repro.coding.syndrome import SyndromeEncoder
-from repro.gf2.bulk import PyBulkOps
+from repro.gf2.bulk import NumpyBulkOps, PyBulkOps, numpy_available
 from repro.gf2.field import GF2m
 from repro.gf2.poly import Gf2Poly
 
@@ -40,7 +37,26 @@ FINAL_ROUND_FAILURES = [re.compile(pattern) for pattern in (
     r"recovered support does not reproduce the syndrome")]
 
 
-CASES = [(field, PyBulkOps(field)) for field in map(GF2m, WIDTHS)]
+def _backends(field):
+    backends = [PyBulkOps(field)]
+    if numpy_available() and field.width <= 32:
+        # small_cutoff=0 forces the numpy kernels even on tiny batches.
+        backends.append(NumpyBulkOps(field, small_cutoff=0))
+    return backends
+
+
+def _cases(field):
+    for bulk in _backends(field):
+        yield field, bulk
+
+
+def all_cases():
+    for width in WIDTHS:
+        field = GF2m(width)
+        yield from _cases(field)
+
+
+CASES = list(all_cases())
 CASE_IDS = ["w%d-%s" % (field.width, bulk.name) for field, bulk in CASES]
 
 
@@ -264,6 +280,25 @@ def test_decode_many_rejects_wrong_length():
         for entry_point in (decoder.decode, decoder.decode_adaptive):
             with pytest.raises(ValueError):
                 entry_point(short)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_backends_agree_on_decode_many(width):
+    """Pure-Python and numpy backends produce bit-identical batched decodes."""
+    if not numpy_available():
+        pytest.skip("numpy backend not available")
+    field = GF2m(width)
+    rng = random.Random(width * 127)
+    encoder = SyndromeEncoder(field, THRESHOLD, bulk=PyBulkOps(field))
+    supports = _random_supports(field, rng, 25, THRESHOLD + 2)
+    syndromes = encoder.syndrome_of_many(supports)
+    results = []
+    for bulk in _backends(field):
+        decoder = SparseRecoveryDecoder(field, THRESHOLD, bulk=bulk)
+        entries = decoder.decode_many_deferred(syndromes, adaptive=True)
+        results.append([str(entry) if isinstance(entry, DecodeFailure) else entry
+                        for entry in entries])
+    assert all(result == results[0] for result in results[1:])
 
 
 # ------------------------------------------------- bulk/scalar parity table
